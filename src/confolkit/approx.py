@@ -90,17 +90,6 @@ def table_wedge_power(chart, table, n):
     return out
 
 
-def table_scale(table, c):
-    return {k: sp.sympify(c) * e for k, e in table.items()}
-
-
-def table_add(chart, t1, t2):
-    out = dict(_canon_table(chart, t1))
-    for k, e in _canon_table(chart, t2).items():
-        out[k] = out.get(k, 0) + e
-    return {k: v for k, v in out.items() if sp.expand(v) != 0}
-
-
 def table_contract(chart, table, v):
     """Interior product with a constant ambient vector v (array)."""
     table = _canon_table(chart, table)

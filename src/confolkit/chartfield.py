@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import sympy as sp
@@ -83,7 +83,6 @@ class PointSample:
     tau_rank: float = DEFAULT_TAU_RANK
     tau_pos: float = DEFAULT_TAU_POS
     h: float = 1e-4
-    payload: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if not (self.tau_rank > 0 and self.tau_pos > 0 and self.h > 0):

@@ -7,6 +7,9 @@ Everything operates on plain numpy matrices expressed in the basis of a
 * the Pfaffian is normalized so ``Pf([[0, 1], [-1, 0]]) = +1`` and is computed
   by Parlett-Reid skew tridiagonalization with explicit sign tracking (a
   determinant square root would lose the orientation sign);
+* pencil positivity is decided exactly: the Pfaffian polynomial's float
+  coefficients are rationalized once, and a Sturm sequence over the integers
+  counts and isolates its real roots against the ray (no float root finder);
 * strict inequalities are never certified through numerical noise: pencil
   roots within 1e-8 of the inspected ray and exhausted feasibility searches
   return UNDETERMINED rather than PASS/FAIL.
@@ -14,7 +17,9 @@ Everything operates on plain numpy matrices expressed in the basis of a
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
 import scipy.linalg
@@ -28,6 +33,7 @@ UNDETERMINED = "UNDETERMINED"
 DEFAULT_TAU_ANGLE = 1e-6
 _COEFF_TRUNC = 1e-12     # relative truncation of pencil polynomial coefficients
 _RAY_TOL = 1e-8          # roots closer than this to the ray: UNDETERMINED
+_MAX_BISECT = 4000       # exact bisection steps refining one root's float
 
 
 def _skew(m):
@@ -192,36 +198,186 @@ def _pencil_poly(pair: SkewPair):
 def _ray_roots(coeffs, closed):
     """Real roots of sum c_k t^k classified against the ray.
 
-    Coefficients are truncated (relative 1e-12) and rationalized, so the
-    Sturm-based isolation downstream is exact.  Returns (poly, on, near):
+    Coefficients are truncated (relative 1e-12), rationalized and scaled to
+    integers, so the decision is exact: each square-free factor gets a Sturm
+    sequence over the integers, whose sign-variation counts at the exact
+    dyadic points 0, +-1e-8 and a power-of-two root bound place every root,
+    and bisection on those counts isolates them.  Each isolated root is then
+    bisected on its sign until the interval's endpoints round to the same
+    double, which is the root's float value.  No float root finder takes
+    part.  Returns (poly, on, near), the roots ascending with multiplicity:
     ``on`` are certain failures inside the ray, ``near`` are roots too close
     to its edge to certify either way.  An exact root at t = 0 lies off the
     open ray (the compatible-pair pencils always vanish there) but on the
     closed one.
     """
-    import sympy as sp
-
     cmax = np.max(np.abs(coeffs)) if len(coeffs) else 0.0
     if cmax == 0.0:
         return None, [], []
-    t = sp.Symbol("t")
-    poly = sum(sp.Rational(c).limit_denominator(10**15) * t**k
-               for k, c in enumerate(coeffs)
-               if abs(c) > _COEFF_TRUNC * cmax)
-    if poly == 0:
+    rat = [Fraction(c).limit_denominator(10**15)
+           if abs(c) > _COEFF_TRUNC * cmax else Fraction(0) for c in coeffs]
+    lcm = math.lcm(*(c.denominator for c in rat))
+    poly = _trim([c.numerator * (lcm // c.denominator) for c in rat])
+    if not poly:
         return None, [], []
-    on, near = [], []
-    for r in sp.real_roots(sp.Poly(poly, t)):
-        rf = float(r)
-        if r == 0:
-            if closed:
-                on.append(0.0)
-            continue
-        if rf > _RAY_TOL:
-            on.append(rf)
-        elif (rf > 0) or (closed and abs(rf) <= _RAY_TOL):
-            near.append(rf)
-    return poly, on, near
+    zeros = next(k for k, c in enumerate(poly) if c)
+    zero, tol = (0, 0), _dyadic(_RAY_TOL)
+    minus_tol = (-tol[0], tol[1])
+    on = [0.0] * zeros if closed else []
+    near = []
+    for f, mult in _square_free(poly[zeros:]):
+        sturm = _sturm(f)
+        # above the Cauchy bound 1 + max|f_k / f_deg| on every |root|
+        bound = (1 << (max(map(abs, f)) // abs(f[-1]) + 2).bit_length(), 0)
+        v_inf = _variations([p[-1] for p in sturm])
+        v_tol, v_zero = _count_at(sturm, tol), _count_at(sturm, zero)
+        roots_on = _isolate(sturm, tol, v_tol, bound, v_inf)
+        roots_near = _isolate(sturm, zero, v_zero, tol, v_tol)
+        if closed:
+            roots_near += _isolate(sturm, minus_tol,
+                                   _count_at(sturm, minus_tol), zero, v_zero)
+            if _sign_at(f, minus_tol) == 0:
+                roots_near.append(-_RAY_TOL)
+        on += roots_on * mult
+        near += roots_near * mult
+    return poly, sorted(on), sorted(near)
+
+
+# Exact polynomial arithmetic for _ray_roots.  Polynomials are lists of
+# Python ints, constant term first, without zero leading coefficients; the
+# algorithms only need them up to a positive constant factor.  Points are
+# dyadic rationals (n, e) = n / 2**e.
+
+def _trim(p):
+    while p and p[-1] == 0:
+        p = p[:-1]
+    return p
+
+
+def _primitive(p):
+    g = math.gcd(*p)
+    return [c // g for c in p] if g > 1 else p
+
+
+def _derivative(p):
+    return [k * c for k, c in enumerate(p)][1:]
+
+
+def _pdivmod(a, b):
+    """Pseudo-division: (q, r) with m*a = q*b + r for some m > 0 and
+    deg r < deg b, both reduced to primitive parts."""
+    lead, sign = abs(b[-1]), (1 if b[-1] > 0 else -1)
+    q, r = [0] * max(len(a) - len(b) + 1, 0), list(a)
+    for k in range(len(q) - 1, -1, -1):
+        t = sign * r[k + len(b) - 1]
+        q = [lead * c for c in q]
+        r = [lead * c for c in r]
+        q[k] = t
+        for j, c in enumerate(b):
+            r[k + j] -= t * c
+    return _primitive(_trim(q)), _primitive(_trim(r[:len(b) - 1]))
+
+
+def _gcd(a, b):
+    while b:
+        a, b = b, _pdivmod(a, b)[1]
+    return a
+
+
+def _square_free(p):
+    """Square-free factorization: pairwise coprime (factor, multiplicity)
+    pairs whose product of factor**multiplicity is p up to a constant.
+    Constant factors are omitted."""
+    a = _gcd(p, _derivative(p))
+    b = _pdivmod(p, a)[0]
+    out, mult = [], 1
+    while len(b) > 1:
+        c = _gcd(a, b)
+        a = _pdivmod(a, c)[0]
+        factor = _pdivmod(b, c)[0]
+        if len(factor) > 1:
+            out.append((factor, mult))
+        b, mult = c, mult + 1
+    return out
+
+
+def _sturm(f):
+    """Sturm sequence f, f', -rem(...) of a square-free polynomial."""
+    seq = [f, _derivative(f)]
+    while len(seq[-1]) > 1:
+        seq.append([-c for c in _pdivmod(seq[-2], seq[-1])[1]])
+    return seq
+
+
+def _dyadic(x):
+    n, d = float(x).as_integer_ratio()
+    return n, d.bit_length() - 1
+
+
+def _midpoint(a, b):
+    e = max(a[1], b[1])
+    return (a[0] << (e - a[1])) + (b[0] << (e - b[1])), e + 1
+
+
+def _to_float(x):
+    return x[0] / (1 << x[1])
+
+
+def _sign_at(p, x):
+    """Sign of p at x = n / 2**e, by Horner on 2**(e*deg p) * p(x)."""
+    n, e = x
+    acc, shift = 0, 0
+    for c in reversed(p):
+        acc = acc * n + (c << shift)
+        shift += e
+    return (acc > 0) - (acc < 0)
+
+
+def _variations(values):
+    signs = [v > 0 for v in values if v != 0]
+    return sum(s != t for s, t in zip(signs, signs[1:]))
+
+
+def _count_at(sturm, x):
+    """Sign variations of the Sturm sequence at x; V(a) - V(b) is the
+    number of distinct roots of sturm[0] in (a, b]."""
+    return _variations([_sign_at(p, x) for p in sturm])
+
+
+def _isolate(sturm, a, va, b, vb):
+    """Float values of the roots of sturm[0] in (a, b], ascending."""
+    if va == vb:
+        return []
+    if va - vb == 1:
+        return [_refine(sturm[0], a, b)]
+    m = _midpoint(a, b)
+    vm = _count_at(sturm, m)
+    return _isolate(sturm, a, va, m, vm) + _isolate(sturm, m, vm, b, vb)
+
+
+def _refine(f, a, b):
+    """Float value of the one simple root of f in (a, b].
+
+    Bisection on the sign of f until both endpoints round to the same
+    double.  f keeps the sign opposite to f(b) on (a, root), so f(a) is
+    never needed.  The step cap only matters for a root exactly halfway
+    between two doubles, which no interval around it rounds to one side.
+    """
+    sb = _sign_at(f, b)
+    if sb == 0:
+        return _to_float(b)
+    for _ in range(_MAX_BISECT):
+        if _to_float(a) == _to_float(b):
+            break
+        m = _midpoint(a, b)
+        sm = _sign_at(f, m)
+        if sm == 0:
+            return _to_float(m)
+        if sm == sb:
+            b = m
+        else:
+            a = m
+    return _to_float(b)
 
 
 def pencil_positive(pair: SkewPair, closed=False, orientation=+1):

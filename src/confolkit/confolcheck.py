@@ -68,6 +68,10 @@ def aggregate(subs: dict) -> str:
 # hyperplane fields
 # ---------------------------------------------------------------------------
 
+class AlphaVanishes(ValueError):
+    """alpha is zero at a point, so ker(alpha) is no hyperplane there."""
+
+
 class HyperplaneField:
     """ker(alpha) on a chart, with dalpha cached (symbolic when available)."""
 
@@ -97,7 +101,7 @@ class HyperplaneField:
     def alpha_at(self, p):
         v = self.alpha.eval_at(p)
         if np.linalg.norm(v) < 1e-12:
-            raise ValueError(f"alpha vanishes at {p}")
+            raise AlphaVanishes(f"alpha vanishes at {p}")
         return v
 
     def xi_basis(self, p):
@@ -234,7 +238,11 @@ def confoliation_check(c: ConfoliationData, samples) -> Verdict:
     t > 0, and mu nondegenerate on K_xi, at every sample."""
     worst = np.inf
     for s in samples:
-        xi = c.h.xi_basis(s.point)
+        try:
+            xi = c.h.xi_basis(s.point)
+        except AlphaVanishes:
+            return Verdict(FAIL, witness=s.point,
+                           message="alpha vanishes at the witness")
         mu_xi = xi.restrict(c.mu.eval_at(s.point))
         da_xi = xi.restrict(c.h.dalpha.eval_at(s.point))
         pv = pencil_positive(SkewPair(mu_xi, da_xi, ("mu", "dalpha")))

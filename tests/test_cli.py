@@ -2,7 +2,11 @@
 the runner's exit-code contract, and report determinism."""
 
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -392,6 +396,27 @@ def test_confoliation_and_shs_directives():
     assert rep.exit_code == 0
     assert [e["status"] for e in rep.entries] == [PASS, PASS]
     assert [e["kind"] for e in rep.entries] == ["confoliation", "shs"]
+
+
+def test_vanishing_alpha_is_a_fail_verdict_not_a_traceback(tmp_path):
+    doc = tmp_path / "vanishing.cfl"
+    doc.write_text("chart x y z\n"
+                   "form alpha = 0 * dz\n"
+                   "form W = dx ^ dy\n"
+                   "check confoliation alpha W\n")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    r = subprocess.run([sys.executable, "-m", "confolkit.cli", str(doc),
+                        "--format", "json"],
+                       capture_output=True, text=True, env=env, timeout=300)
+    assert r.returncode == 1
+    assert "Traceback" not in r.stderr
+    checks = json.loads(r.stdout)["checks"]
+    assert [e["status"] for e in checks] == [FAIL]
+    verdict = checks[0]["detail"]["verdict"]
+    assert len(verdict["witness"]) == 3
+    assert "alpha vanishes" in verdict["message"]
 
 
 def test_unlocatable_stratum_gives_undetermined_exit_2():

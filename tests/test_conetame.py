@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from confolkit import conetame
 from confolkit.conetame import (
     FAIL,
     PASS,
@@ -172,6 +173,79 @@ def test_pencil_brute_force_agreement():
             agree += 1
             assert not (v.status == PASS and brute == FAIL)
     assert agree >= 50
+
+
+def _sympy_ray_roots(coeffs, closed):
+    """Reference classification by sympy.real_roots, as _ray_roots did it
+    before the Sturm sequence replaced it."""
+    import sympy as sp
+
+    cmax = np.max(np.abs(coeffs)) if len(coeffs) else 0.0
+    if cmax == 0.0:
+        return None, [], []
+    t = sp.Symbol("t")
+    poly = sum(sp.Rational(c).limit_denominator(10**15) * t**k
+               for k, c in enumerate(coeffs) if abs(c) > 1e-12 * cmax)
+    if poly == 0:
+        return None, [], []
+    on, near = [], []
+    for r in sp.real_roots(sp.Poly(poly, t)):
+        rf = float(r)
+        if r == 0:
+            if closed:
+                on.append(0.0)
+            continue
+        if rf > 1e-8:
+            on.append(rf)
+        elif (rf > 0) or (closed and abs(rf) <= 1e-8):
+            near.append(rf)
+    return poly, on, near
+
+
+_EDGE_POLYS = {
+    "double-root": [1, -2, 1],
+    "triple-root": [1, -3, 3, -1],
+    "zero-root": [0, 1],
+    "double-zero-root": [0, 0, 1],
+    "root-in-(0,1e-8]": [-1e-9, 1],
+    "root-in-[-1e-8,0)": [1e-9, 1],
+    "truncated-coefficient": [1e-20, 1, 1],
+    # 2**79 clears the denominator of the double 1e-8: root exactly -1e-8
+    "root-at--1e-8": [2.0**79 * 1e-8, 2.0**79],
+}
+
+
+def _oracle_pairs(case):
+    if case in _EDGE_POLYS:
+        return [SkewPair(np.zeros((2, 2)), np.zeros((2, 2)))]
+    if case == "zero-pfaffian":
+        # both forms live on one 2-plane of R^4: Pf(mu0 + t mu1) = 0
+        flat = scipy.linalg.block_diag(J2, np.zeros((2, 2)))
+        return [SkewPair(flat, 2.0 * flat)]
+    rng = np.random.default_rng(17)
+    pairs = []
+    for _ in range(200):
+        n = int(rng.integers(1, 4))
+        A, B = rng.standard_normal((2, 2 * n, 2 * n))
+        pairs.append(SkewPair(A - A.T, B - B.T))
+    return pairs
+
+
+@pytest.mark.parametrize("closed", [False, True], ids=["open", "closed"])
+@pytest.mark.parametrize("case", [*_EDGE_POLYS, "zero-pfaffian", "random"])
+def test_pencil_matches_sympy_real_roots(case, closed, monkeypatch):
+    if case in _EDGE_POLYS:
+        coeffs = np.array(_EDGE_POLYS[case], dtype=float)
+        monkeypatch.setattr(conetame, "_pencil_poly", lambda pair: coeffs)
+    for pair in _oracle_pairs(case):
+        got = pencil_positive(pair, closed=closed)
+        with monkeypatch.context() as m:
+            m.setattr(conetame, "_ray_roots", _sympy_ray_roots)
+            ref = pencil_positive(pair, closed=closed)
+        assert (got.status, got.message) == (ref.status, ref.message)
+        assert len(got.roots_on_ray) == len(ref.roots_on_ray)
+        for r, r_ref in zip(got.roots_on_ray, ref.roots_on_ray):
+            assert r == pytest.approx(r_ref, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
