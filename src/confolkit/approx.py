@@ -6,11 +6,12 @@ family's top non-vanishing wedge collapses at some rate s^e; this module
 extracts the rate, matches a conformal factor against a declared target, and
 tests bivariate symplectic compatibility of the stratum two-forms.
 
-Forms travel in two representations: numeric coefficient fields
-(chartfield.FormFieldNum) and symbolic coefficient tables, dicts mapping
-sorted index tuples (or name tuples) to sympy expressions in the chart
-coordinates plus the family parameter.  The table helpers below mirror the
-numeric wedge/d algebra so the two pipelines can be cross-checked.
+A symbolic family is one index-keyed coefficient table in the chart
+coordinates and the parameter (the table helpers live in chartfield and are
+re-exported here); alpha and its exact d are compiled once and each
+parameter value only binds.  The exact route reads the rate off the Laurent
+expansion of alpha ^ dalpha^(k+1); the numeric route fits it on a ladder of
+parameter values with the finite-difference d, so the two cross-check.
 """
 
 import itertools
@@ -20,7 +21,10 @@ from dataclasses import dataclass, field
 import numpy as np
 import sympy as sp
 
-from .chartfield import Chart, FormFieldNum, d_fd, sample_grid, _sort_sign
+from .chartfield import (Chart, FormFieldNum, _canon_table, compile_table,
+                         d_fd, sample_grid, table_contract, table_d,
+                         table_to_field, table_top, table_wedge,
+                         table_wedge_power)
 from .conetame import FAIL, PASS, UNDETERMINED
 from .confolcheck import (SKIPPED, ConfoliationData, HyperplaneField, Verdict,
                           aggregate, order_at, rank_stratify)
@@ -34,91 +38,8 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# symbolic coefficient tables
+# parameter expansion
 # ---------------------------------------------------------------------------
-
-def _canon_table(chart, table):
-    out = {}
-    for key, e in table.items():
-        key = tuple(chart.index(k) if isinstance(k, str) else int(k)
-                    for k in key)
-        if list(key) != sorted(set(key)):
-            raise ValueError(f"table key {key} is not sorted distinct")
-        out[key] = out.get(key, 0) + sp.sympify(e)
-    return out
-
-
-def table_degree(table):
-    for key in table:
-        return len(key)
-    return 0
-
-
-def table_d(chart, table):
-    """Exact exterior derivative of a coefficient table (sympy diff)."""
-    table = _canon_table(chart, table)
-    syms = chart.symbols()
-    out = {}
-    for key, e in table.items():
-        for i, x in enumerate(syms):
-            de = sp.diff(e, x)
-            if de == 0:
-                continue
-            new, s = _sort_sign((i,) + key)
-            if s == 0:
-                continue
-            out[new] = out.get(new, 0) + s * de
-    return {k: sp.expand(v) for k, v in out.items() if sp.expand(v) != 0}
-
-
-def table_wedge(chart, t1, t2):
-    t1, t2 = _canon_table(chart, t1), _canon_table(chart, t2)
-    out = {}
-    for k1, e1 in t1.items():
-        for k2, e2 in t2.items():
-            key, s = _sort_sign(k1 + k2)
-            if s == 0:
-                continue
-            out[key] = out.get(key, 0) + s * e1 * e2
-    return {k: v for k, v in out.items() if sp.expand(v) != 0}
-
-
-def table_wedge_power(chart, table, n):
-    out = {(): sp.Integer(1)}
-    for _ in range(n):
-        out = table_wedge(chart, out, table)
-    return out
-
-
-def table_contract(chart, table, v):
-    """Interior product with a constant ambient vector v (array)."""
-    table = _canon_table(chart, table)
-    comps = [sp.Integer(int(c)) if float(c).is_integer() else sp.Float(c)
-             for c in v]
-    out = {}
-    for key, e in table.items():
-        for pos, idx in enumerate(key):
-            if comps[idx] == 0:
-                continue
-            rest = key[:pos] + key[pos + 1:]
-            sign = -1 if pos % 2 else 1
-            out[rest] = out.get(rest, 0) + sign * comps[idx] * e
-    return {k: v_ for k, v_ in out.items() if sp.expand(v_) != 0}
-
-
-def table_to_field(chart, table, degree=None, params=None):
-    table = _canon_table(chart, table)
-    deg = table_degree(table) if degree is None else degree
-    return FormFieldNum.from_symbolic(chart, deg, table, params=params)
-
-
-def _table_eval(chart, table, p, subs=None):
-    """Numeric component dict of a symbolic table at a point."""
-    vals = dict(zip(chart.symbols(), chart.lift(np.asarray(p, float))))
-    if subs:
-        vals.update(subs)
-    return {k: float(sp.sympify(e).subs(vals)) for k, e in table.items()}
-
 
 def _laurent(expr, s, max_deg=8):
     """Map power -> coefficient for an expression rational in the parameter.
@@ -165,8 +86,10 @@ class DeformationFamily:
     """One-form family alpha_s over a chart, degenerating onto a base.
 
     The base is a ConfoliationData (beta plus ambient two-form omega); the
-    family is given symbolically (coefficient table in coordinates and the
-    parameter) and/or as a callable s -> FormFieldNum.  ``direction`` is
+    family is given symbolically (index-keyed coefficient table in the
+    coordinates and the parameter) and/or as a callable s -> FormFieldNum.
+    ``dalpha_of`` gives the exact d of a symbolic family; without it the
+    hyperplane fields take the finite-difference d.  ``direction`` is
     either "s->0" or "m->inf" (the latter substitutes s = 1/m on ladders).
     """
 
@@ -175,6 +98,7 @@ class DeformationFamily:
     param: sp.Symbol
     table: dict = None
     alpha_of: object = None
+    dalpha_of: object = None
     direction: str = "s->0"
 
     @property
@@ -185,18 +109,19 @@ class DeformationFamily:
     def from_table(cls, chart, table, omega, param="s", base_table=None,
                    tau_rank=1e-7, tau_pos=1e-9):
         param = sp.Symbol(param) if isinstance(param, str) else param
-        table = {name: sp.sympify(e) for name, e in table.items()}
+        table = _canon_table(chart, table)
         if base_table is None:
-            base_table = {name: sp.expand(e.subs(param, 0))
-                          for name, e in table.items()}
+            base_table = {key: sp.expand(e.subs(param, 0))
+                          for key, e in table.items()}
             base_table = {k: v for k, v in base_table.items() if v != 0}
         base_h = HyperplaneField.from_symbolic(chart, base_table)
         if isinstance(omega, dict):
             omega = table_to_field(chart, omega, 2)
         base = ConfoliationData(base_h, omega, tau_rank, tau_pos)
-        fam = cls(chart, base, param, table=table)
-        fam.alpha_of = fam._field_at
-        return fam
+        return cls(chart, base, param, table=table,
+                   alpha_of=compile_table(chart, table, 1, (param,)),
+                   dalpha_of=compile_table(chart, table_d(chart, table), 2,
+                                           (param,)))
 
     @classmethod
     def from_sequence(cls, chart, fields, omega, base_table, param="m",
@@ -213,26 +138,14 @@ class DeformationFamily:
         return fam
 
     # -- evaluation --------------------------------------------------------
-    def _field_at(self, s):
-        return table_to_field(self.chart, {(n,): e for n, e in self.table.items()},
-                              1, params={self.param: s})
-
     def hyperplane_at(self, s):
-        if self.table is not None:
-            return HyperplaneField.from_symbolic(
-                self.chart, self.table, params={str(self.param): s})
-        f = self.alpha_of(s)
-        return HyperplaneField(self.chart, f)
-
-    def alpha_table(self):
-        if self.table is None:
-            raise ValueError("family has no symbolic table")
-        return {(n,): e for n, e in self.table.items()}
+        dalpha = self.dalpha_of(s) if self.dalpha_of is not None else None
+        return HyperplaneField(self.chart, self.alpha_of(s), dalpha)
 
     def base_consistency(self, samples, tau=1e-9):
         """alpha at s=0 spans the same line as beta at each sample."""
         worst, witness = 0.0, None
-        a0 = self.alpha_of(0.0) if self.table is None else self._field_at(0.0)
+        a0 = self.alpha_of(0.0)
         for smp in samples:
             v = _comp_vec(a0, smp.point)
             b = _comp_vec(self.base.h.alpha, smp.point)
@@ -354,9 +267,7 @@ def practical_mu(fam: DeformationFamily, order, xbar, samples, tau=1e-9):
                 f"{smp.point}: iota_Xbar(beta ^ dbeta^{k}) != 1")
 
     if fam.table is not None:
-        at = fam.alpha_table()
-        dt = table_d(chart, at)
-        zt = table_wedge(chart, at, table_wedge_power(chart, dt, k + 1))
+        zt = table_top(chart, fam.table, k)
         for v in xbar:
             zt = table_contract(chart, zt, v)
         return zt
@@ -473,29 +384,27 @@ def _limit_symbolic(label, order, zeta, eta, samples, chart, param, tau):
             by_power.setdefault(k, {})[key] = \
                 by_power.get(k, {}).get(key, 0) + c
 
-    def eta_comp(smp):
-        if _is_table(eta):
-            return _table_eval(chart, _canon_table(chart, eta), smp.point)
-        return eta.components(smp.point)
-
     # minimal exponent with coefficient alive on the stratum samples
     exponent, lead = None, None
     for k in sorted(by_power):
         tab = by_power[k]
+        fld = table_to_field(chart, tab)
         mx = max((abs(v) for smp in samples
-                  for v in _table_eval(chart, tab, smp.point).values()),
+                  for v in fld.components(smp.point).values()),
                  default=0.0)
         if mx > tau:
-            exponent, lead = k, tab
+            exponent, lead, lead_f = k, tab, fld
             break
     if exponent is None:
         return StratumLimit(label, order, None, None, None, np.array([]),
                             1.0, FAIL, message="family vanishes on stratum")
 
+    if _is_table(eta):
+        eta = table_to_field(chart, eta)
     ratios, resid = [], 0.0
     for smp in samples:
-        zc = _table_eval(chart, lead, smp.point)
-        r, rs = _ratio_match(zc, eta_comp(smp), tau)
+        zc = lead_f.components(smp.point)
+        r, rs = _ratio_match(zc, eta.components(smp.point), tau)
         if r is None:
             return StratumLimit(label, order, exponent, None, None,
                                 np.array([]), 1.0, FAIL, leading=lead,
@@ -539,12 +448,12 @@ def _limit_numeric(label, order, zeta, eta, samples, j_range, tau_num):
                             message="leading exponent unstable on ladder")
     s_min = float(svals[-1])
     f_min = fields[-1]
+    if _is_table(eta):
+        eta = table_to_field(f_min.chart, eta)
     ratios, resid = [], 0.0
     for smp in samples:
         zc = {k: v / s_min ** e for k, v in f_min.components(smp.point).items()}
-        ec = (_table_eval(f_min.chart, _canon_table(f_min.chart, eta),
-                          smp.point) if _is_table(eta)
-              else eta.components(smp.point))
+        ec = eta.components(smp.point)
         # higher-order contamination at the finite smallest rung is live
         # noise of size O(s_min); mask it out of the support comparison
         r, rs = _ratio_match(zc, ec, max(1e-9, 10 * s_min))
@@ -744,10 +653,7 @@ def approx_verdict(fam: DeformationFamily, pf: PartitionedForm, samples=None,
         elif sd.zeta is not None:
             lim_zeta[lab] = sd.zeta
         elif fam.table is not None:
-            at = fam.alpha_table()
-            dt = table_d(chart, at)
-            lim_zeta[lab] = table_wedge(
-                chart, at, table_wedge_power(chart, dt, k + 1))
+            lim_zeta[lab] = table_top(chart, fam.table, k)
         else:
             lim_zeta[lab] = (lambda kk: lambda s: (lambda a: a.wedge(
                 d_fd(a).wedge_power(kk + 1)))(fam.alpha_of(s)))(k)

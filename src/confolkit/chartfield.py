@@ -1,11 +1,14 @@
-"""Numeric differential forms on coordinate boxes.
+"""Coordinate forms on boxed charts: coefficient tables and numeric fields.
 
-Fields carry coefficient callables indexed by strictly sorted coordinate
-subsets.  Everything here is pointwise plumbing for the verifiers: exact
-coefficient evaluation, central-difference exterior derivative, pullbacks via
-finite-difference Jacobians, short-time RK4 flows and seeded sample grids.
-Symbolic sources (sympy expressions / ScalarExpr) are compiled with lambdify,
-so the finite-difference routes can be cross-checked against the symbolic d.
+A coefficient table maps strictly sorted coordinate-index tuples to sympy
+expressions in the chart coordinates (and a family's parameter).
+``_canon_table`` is the one place that reads other key spellings (name
+tuples, a bare name for a one-form).  The exact algebra on tables stays
+symbolic; ``compile_table`` lambdifies a table once, with any parameters as
+trailing arguments, into numeric fields whose coefficients are callables on
+the coordinate array.  The rest is pointwise plumbing for the verifiers:
+central-difference d (the lane that cross-checks the exact ``table_d``),
+finite-difference pullbacks, short-time RK4 flows and seeded sample grids.
 """
 
 from __future__ import annotations
@@ -116,7 +119,6 @@ class FormFieldNum:
         self.degree = degree
         clean = {}
         for key, fn in coeffs.items():
-            key = tuple(chart.index(k) if isinstance(k, str) else k for k in key)
             if len(key) != degree or list(key) != sorted(set(key)):
                 raise ValueError(f"coefficient key {key} is not a sorted "
                                  f"{degree}-subset")
@@ -125,20 +127,9 @@ class FormFieldNum:
         self.stats = {"one_sided": 0}
 
     @classmethod
-    def from_symbolic(cls, chart, degree, table, params=None):
-        """Compile sympy/ScalarExpr coefficients over the chart coordinates.
-
-        ``params`` maps extra symbols (family parameters) to fixed numbers.
-        """
-        syms = chart.symbols()
-        params = {sp.sympify(k): float(v) for k, v in (params or {}).items()}
-        coeffs = {}
-        for key, e in table.items():
-            e = e.expr if isinstance(e, ScalarExpr) else sp.sympify(e)
-            e = e.subs(params)
-            fn = sp.lambdify(syms, e, "numpy")
-            coeffs[key] = (lambda f: (lambda p: float(f(*p))))(fn)
-        return cls(chart, degree, coeffs)
+    def from_symbolic(cls, chart, degree, table):
+        """Compile a parameter-free coefficient table (any key spelling)."""
+        return compile_table(chart, table, degree)()
 
     # -- evaluation --------------------------------------------------------
     def eval_at(self, p):
@@ -222,6 +213,111 @@ class FormFieldNum:
         for _ in range(n):
             out = out.wedge(self)
         return out
+
+
+# ---------------------------------------------------------------------------
+# symbolic coefficient tables
+# ---------------------------------------------------------------------------
+
+def _canon_table(chart, table):
+    """Index-keyed copy of a coefficient table.
+
+    Keys may be index tuples, name tuples, or a bare coordinate name (a
+    one-form key); entries landing on the same key add up.
+    """
+    out = {}
+    for key, e in table.items():
+        if isinstance(key, str):
+            key = (key,)
+        key = tuple(chart.index(k) if isinstance(k, str) else int(k)
+                    for k in key)
+        if list(key) != sorted(set(key)):
+            raise ValueError(f"table key {key} is not sorted distinct")
+        e = e.expr if isinstance(e, ScalarExpr) else sp.sympify(e)
+        out[key] = out.get(key, 0) + e
+    return out
+
+
+def table_d(chart, table):
+    """Exact exterior derivative of a coefficient table (sympy diff)."""
+    table = _canon_table(chart, table)
+    syms = chart.symbols()
+    out = {}
+    for key, e in table.items():
+        for i, x in enumerate(syms):
+            de = sp.diff(e, x)
+            if de == 0:
+                continue
+            new, s = _sort_sign((i,) + key)
+            if s == 0:
+                continue
+            out[new] = out.get(new, 0) + s * de
+    return {k: sp.expand(v) for k, v in out.items() if sp.expand(v) != 0}
+
+
+def table_wedge(chart, t1, t2):
+    t1, t2 = _canon_table(chart, t1), _canon_table(chart, t2)
+    out = {}
+    for k1, e1 in t1.items():
+        for k2, e2 in t2.items():
+            key, s = _sort_sign(k1 + k2)
+            if s == 0:
+                continue
+            out[key] = out.get(key, 0) + s * e1 * e2
+    return {k: v for k, v in out.items() if sp.expand(v) != 0}
+
+
+def table_wedge_power(chart, table, n):
+    out = {(): sp.Integer(1)}
+    for _ in range(n):
+        out = table_wedge(chart, out, table)
+    return out
+
+
+def table_top(chart, table, k):
+    """alpha ^ dalpha^(k+1) for a one-form table: zero exactly where the
+    order of ker(alpha) is at most k."""
+    return table_wedge(chart, table,
+                       table_wedge_power(chart, table_d(chart, table), k + 1))
+
+
+def table_contract(chart, table, v):
+    """Interior product with a constant ambient vector v (array)."""
+    table = _canon_table(chart, table)
+    comps = [sp.Integer(int(c)) if float(c).is_integer() else sp.Float(c)
+             for c in v]
+    out = {}
+    for key, e in table.items():
+        for pos, idx in enumerate(key):
+            if comps[idx] == 0:
+                continue
+            rest = key[:pos] + key[pos + 1:]
+            sign = -1 if pos % 2 else 1
+            out[rest] = out.get(rest, 0) + sign * comps[idx] * e
+    return {k: v_ for k, v_ in out.items() if sp.expand(v_) != 0}
+
+
+def compile_table(chart, table, degree=None, params=()):
+    """Lambdify each coefficient once over the chart coordinates followed by
+    the symbols ``params``.
+
+    Returns ``bind``: parameter values -> FormFieldNum.  Binding compiles
+    nothing, so one compile serves every value of a family's parameter.
+    """
+    table = _canon_table(chart, table)
+    deg = len(next(iter(table), ())) if degree is None else degree
+    syms = (*chart.symbols(), *params)
+    fns = {key: sp.lambdify(syms, e, "numpy") for key, e in table.items()}
+
+    def bind(*values):
+        return FormFieldNum(chart, deg, {
+            key: (lambda f: lambda p: float(f(*p, *values)))(fn)
+            for key, fn in fns.items()})
+    return bind
+
+
+def table_to_field(chart, table, degree=None):
+    return compile_table(chart, table, degree)()
 
 
 def _partial(fn, p, i, h, box, stats=None):

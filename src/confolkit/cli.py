@@ -53,14 +53,14 @@ from sympy.core.function import AppliedUndef
 
 from . import __version__
 from . import gallery as _gallery
-from .chartfield import Chart, FormFieldNum, PointSample, sample_grid
+from .chartfield import (Chart, PointSample, _canon_table, sample_grid,
+                         table_to_field, table_top)
 from .conetame import FAIL, PASS, UNDETERMINED
 from .confolcheck import (SKIPPED, ConfoliationData, HyperplaneField,
                           StableHamiltonianPair, Verdict, confoliation_check,
                           order_at, shs_check)
 from .approx import (ConformalLimitReport, DeformationFamily, PartitionedForm,
-                     StratumData, StratumLimit, approx_verdict, table_d,
-                     table_to_field, table_wedge, table_wedge_power)
+                     StratumData, StratumLimit, approx_verdict)
 from .grassmann import FormAlgebra, FormExpr
 
 
@@ -658,8 +658,8 @@ class _Parser:
                 self.fail(f"coefficient depends on abstract quantities "
                           f"({what}); checks need closed-form coordinates",
                           tok)
-            table[tuple(idx)] = table.get(tuple(idx), 0) + e
-        return table
+            table[tuple(idx)] = e
+        return _canon_table(self.chart, table)
 
     def elaborate_check(self, stmt, at, bt):
         for nm, t in ((stmt.a, at), (stmt.b, bt)):
@@ -679,12 +679,15 @@ class _Parser:
             if len(pars) != 1:
                 self.fail("an approx family needs exactly one declared "
                           "parameter in its coefficients", at)
-            names_a = {(self.chart.names[k[0]],): e
-                       for k, e in tab_a.items()}
-            return ("approx", stmt, names_a, tab_b, pars[0])
+            par = sp.Symbol(pars[0])
+            for (i,), e in tab_a.items():
+                if e.subs(par, 0).has(sp.zoo, sp.oo, -sp.oo, sp.nan):
+                    self.fail(f"coefficient of d{self.chart.names[i]} is not "
+                              f"finite at {par} = 0: the family has no base",
+                              at)
+            return ("approx", stmt, tab_a, tab_b, pars[0])
         tab_a = self.lower_numeric(A, 1, at, allow_param=False)
-        names_a = {self.chart.names[k[0]]: e for k, e in tab_a.items()}
-        return (stmt.kind, stmt, names_a, tab_b)
+        return (stmt.kind, stmt, tab_a, tab_b)
 
 
 def parse(text) -> CflDocument:
@@ -798,18 +801,14 @@ def _chart_samples(chart, flags):
 def _locate_stratum(chart, base_h, order, flags, limit=6):
     """Points where the base degenerates to the given order, found by
     driving |beta ^ dbeta^(order+1)|^2 to zero from seeded starts."""
-    at = {(nm,): e for nm, e in base_h.symbolic_table.items()}
-    top = table_wedge(chart, at,
-                      table_wedge_power(chart, table_d(chart, at), order + 1))
-    fld = table_to_field(chart, top) if top else None
+    top = table_top(chart, base_h.symbolic_table, order)
+    fld = table_to_field(chart, top)
     lo = np.array([b[0] for b in chart.box])
     hi = np.array([b[1] for b in chart.box])
     pad = 0.02 * (hi - lo)
 
     def g(x):
         x = np.clip(x, lo + pad, hi - pad)
-        if fld is None:
-            return 0.0
         return sum(v * v for v in fld.components(x).values())
 
     found = []
@@ -831,9 +830,9 @@ def _locate_stratum(chart, base_h, order, flags, limit=6):
 
 
 def _run_approx(doc, entry, flags):
-    _, stmt, names_a, tab_b, par = entry
+    _, stmt, tab_a, tab_b, par = entry
     fam = DeformationFamily.from_table(
-        doc.chart, {k[0]: e for k, e in names_a.items()}, tab_b, param=par,
+        doc.chart, tab_a, tab_b, param=par,
         tau_rank=flags.tol_rank, tau_pos=flags.tol_pos)
     strata, missing = {}, []
     for _, order, table in doc.extends:
@@ -854,17 +853,16 @@ def _run_approx(doc, entry, flags):
 
 
 def _run_confoliation(doc, entry, flags):
-    _, stmt, names_a, tab_b = entry
-    h = HyperplaneField.from_symbolic(doc.chart, names_a)
+    _, stmt, tab_a, tab_b = entry
+    h = HyperplaneField.from_symbolic(doc.chart, tab_a)
     c = ConfoliationData(h, table_to_field(doc.chart, tab_b, 2),
                          flags.tol_rank, flags.tol_pos)
     return confoliation_check(c, _chart_samples(doc.chart, flags)), None
 
 
 def _run_shs(doc, entry, flags):
-    _, stmt, names_a, tab_b = entry
-    lam = table_to_field(doc.chart,
-                         {(nm,): e for nm, e in names_a.items()}, 1)
+    _, stmt, tab_a, tab_b = entry
+    lam = table_to_field(doc.chart, tab_a, 1)
     om = table_to_field(doc.chart, tab_b, 2)
     pair = StableHamiltonianPair(lam, om, doc.chart)
     return shs_check(pair, _chart_samples(doc.chart, flags)), None
@@ -1052,14 +1050,29 @@ class _ArgParser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _positive(convert):
+    """Flag type: ``convert`` the text, then require a finite value > 0."""
+    def parse(text):
+        value = convert(text)
+        if not (math.isfinite(value) and value > 0):
+            raise argparse.ArgumentTypeError(
+                f"must be a finite number > 0, got {text}")
+        return value
+    parse.__name__ = convert.__name__     # argparse: "invalid int value"
+    return parse
+
+
 def _build_argparser():
     p = _ArgParser(prog="confolkit", add_help=True,
                    description="confoliation verification toolkit")
     p.add_argument("file", nargs="?", help=".cfl document to run")
-    p.add_argument("--tol-rank", type=float, default=1e-7, dest="tol_rank")
-    p.add_argument("--tol-pos", type=float, default=1e-9, dest="tol_pos")
-    p.add_argument("--fd-step", type=float, default=1e-4, dest="fd_step")
-    p.add_argument("--samples", type=int, default=24)
+    p.add_argument("--tol-rank", type=_positive(float), default=1e-7,
+                   dest="tol_rank")
+    p.add_argument("--tol-pos", type=_positive(float), default=1e-9,
+                   dest="tol_pos")
+    p.add_argument("--fd-step", type=_positive(float), default=1e-4,
+                   dest="fd_step")
+    p.add_argument("--samples", type=_positive(int), default=24)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--out", default=None)

@@ -21,11 +21,13 @@ from confolkit.chartfield import (
     Chart,
     FormFieldNum,
     PointSample,
+    _canon_table,
     d_fd,
     fd_jacobian,
     flow_rk4,
     pullback,
     sample_grid,
+    table_d,
 )
 from confolkit.conetame import (
     FAIL,
@@ -73,29 +75,24 @@ class AlphaVanishes(ValueError):
 
 
 class HyperplaneField:
-    """ker(alpha) on a chart, with dalpha cached (symbolic when available)."""
+    """ker(alpha) on a chart, with dalpha cached (exact when built from a
+    coefficient table, finite-difference otherwise)."""
 
     def __init__(self, chart, alpha: FormFieldNum, dalpha: FormFieldNum = None,
                  symbolic_table: dict = None):
         self.chart = chart
         self.alpha = alpha
         self.symbolic_table = symbolic_table
-        if dalpha is None and symbolic_table is not None:
-            dalpha = _symbolic_d1(chart, symbolic_table)
         self.dalpha = dalpha if dalpha is not None else d_fd(alpha)
 
     @classmethod
-    def from_symbolic(cls, chart, table, params=None):
-        """``table`` maps coordinate names to sympy coefficient expressions."""
-        tab = {}
-        for name, e in table.items():
-            e = sp.sympify(e)
-            if params:
-                e = e.subs({sp.Symbol(k): v for k, v in params.items()})
-            tab[name] = e
-        f = FormFieldNum.from_symbolic(
-            chart, 1, {(n,): e for n, e in tab.items()})
-        return cls(chart, f, symbolic_table=tab)
+    def from_symbolic(cls, chart, table):
+        """``table`` maps coordinate names (or index keys) to sympy
+        coefficient expressions; dalpha comes from the exact ``table_d``."""
+        tab = _canon_table(chart, table)
+        return cls(chart, FormFieldNum.from_symbolic(chart, 1, tab),
+                   FormFieldNum.from_symbolic(chart, 2, table_d(chart, tab)),
+                   symbolic_table=tab)
 
     # -- pointwise frames --------------------------------------------------
     def alpha_at(self, p):
@@ -120,21 +117,6 @@ class HyperplaneField:
 
     def n_max(self):
         return (self.chart.dim - 1) // 2
-
-
-def _symbolic_d1(chart, table):
-    """Exact exterior derivative of a one-form given by sympy coefficients."""
-    syms = {n: s for n, s in zip(chart.names, chart.symbols())}
-    out = {}
-    names = chart.names
-    for i in range(len(names)):
-        for j in range(i + 1, len(names)):
-            ai = table.get(names[i], sp.Integer(0))
-            aj = table.get(names[j], sp.Integer(0))
-            cij = sp.diff(aj, syms[names[i]]) - sp.diff(ai, syms[names[j]])
-            if cij != 0:
-                out[(i, j)] = cij
-    return FormFieldNum.from_symbolic(chart, 2, out)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,8 @@ from dataclasses import dataclass, field
 import numpy as np
 import sympy as sp
 
-from .chartfield import Chart, FormFieldNum, PointSample, d_fd, sample_grid
+from .chartfield import (Chart, FormFieldNum, PointSample, d_fd, sample_grid,
+                         table_to_field, table_top)
 from .conetame import FAIL, PASS, SkewPair, kernel_with_tol, split_cotamed_J
 from .confolcheck import (
     SKIPPED, ConfoliationData, HyperplaneField, OpenBookProfiles,
@@ -22,7 +23,7 @@ from .confolcheck import (
     order_at, profile_constraints, shs_check, transversely_exact_check)
 from .approx import (
     DeformationFamily, PartitionedForm, StratumData, approx_verdict,
-    conformal_limit, table_d, table_to_field, table_wedge, table_wedge_power)
+    conformal_limit)
 from .grassmann import FormAlgebra, wedge_all
 
 
@@ -133,9 +134,7 @@ def _exponent_agreement(fam, pf, j_range=(4, 16)):
             continue
         zt = sd.zeta_table
         if zt is None and fam.table is not None:
-            at = fam.alpha_table()
-            zt = table_wedge(chart, at,
-                             table_wedge_power(chart, table_d(chart, at), k + 1))
+            zt = table_top(chart, fam.table, k)
         mu = sd.mu if sd.mu is not None else table_to_field(chart, sd.mu_table, 2)
         if sd.eta_table is not None:
             eta_sym = sd.eta_table

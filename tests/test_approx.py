@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 import sympy as sp
 
+from confolkit import gallery
 from confolkit.chartfield import Chart, FormFieldNum, PointSample
 from confolkit.conetame import FAIL, PASS, UNDETERMINED
 from confolkit.approx import (
@@ -65,6 +66,9 @@ def test_table_d_matches_hand_derivative():
     assert sp.expand(t[(0, 4)] - 2 * x1) == 0
     # d of d vanishes
     assert table_d(R5, t) == {}
+    # every spelling of the dz key reads as the same table
+    for key in ("z", ("z",), (4,)):
+        assert table_d(R5, {key: x1**2}) == t
 
 
 def test_table_wedge_signs_and_power():
@@ -119,7 +123,7 @@ def test_laurent_keeps_parameter_free_denominators():
 def test_family_base_from_table():
     fam = cubic_family()
     tab = fam.base.h.symbolic_table
-    assert sp.expand(tab["y1"] - x1**3) == 0
+    assert sp.expand(tab[(R5.index("y1"),)] - x1**3) == 0
     assert fam.base_consistency(GENERIC).status == PASS
     assert fam.n == 2
 
@@ -134,6 +138,30 @@ def test_family_from_sequence_base():
     v = fam.base_consistency(GENERIC, tau=1e-9)
     assert v.status == PASS
     assert fam.direction == "m->inf"
+
+
+@pytest.mark.parametrize("name", ["r5-cubic", "r5-flat-negative",
+                                  "bertelson-meigniez-r5", "branched-cover-r3",
+                                  "mnw-torus", "openbook-deformation"])
+def test_compiled_family_matches_substituted_table(name):
+    # alpha_s and d(alpha_s) are compiled once with the parameter as the last
+    # argument; binding a value must agree with substituting it first
+    structures = gallery.build(name).structures
+    fam, pf = structures["family"], structures["partition"]
+    chart = fam.chart
+    points = [smp.point for sd in pf.strata.values() for smp in sd.samples]
+    for sv in (0.0, 2.0 ** -12, 0.25):
+        tab = {k: e.subs(fam.param, sv) for k, e in fam.table.items()}
+        pairs = ((fam.alpha_of(sv), table_to_field(chart, tab, 1)),
+                 (fam.hyperplane_at(sv).dalpha,
+                  table_to_field(chart, table_d(chart, tab), 2)))
+        for got, want in pairs:
+            for p in points:
+                g, w = got.components(p), want.components(p)
+                diff = max((abs(g.get(k, 0.0) - w.get(k, 0.0))
+                            for k in set(g) | set(w)), default=0.0)
+                scale = max((abs(v) for v in w.values()), default=0.0)
+                assert diff <= 1e-12 * scale, (sv, p)
 
 
 # ---------------------------------------------------------------------------

@@ -419,6 +419,24 @@ def test_vanishing_alpha_is_a_fail_verdict_not_a_traceback(tmp_path):
     assert "alpha vanishes" in verdict["message"]
 
 
+def test_family_singular_at_the_base_is_a_diagnostic(tmp_path):
+    doc = tmp_path / "singular.cfl"
+    doc.write_text("chart x y z\n"
+                   "param s\n"
+                   "form alpha = dz + x * dy / s\n"
+                   "form omega = dx ^ dy\n"
+                   "extend mu on stratum 0 = dx ^ dy\n"
+                   "check approx alpha omega\n")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    r = subprocess.run([sys.executable, "-m", "confolkit.cli", str(doc)],
+                       capture_output=True, text=True, env=env, timeout=300)
+    assert r.returncode == 3
+    assert "Traceback" not in r.stderr
+    assert f"{doc}:6:14: coefficient of dy is not finite at s = 0" in r.stderr
+
+
 def test_unlocatable_stratum_gives_undetermined_exit_2():
     rep = run(parse(GHOST_STRATUM_DOC))
     assert rep.exit_code == 2
@@ -496,6 +514,18 @@ def test_main_missing_file(capsys):
 def test_main_unknown_flag(capsys):
     assert main(["--frobnicate"]) == 3
     assert "usage error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag,value", [
+    ("--samples", "0"), ("--samples", "-3"), ("--tol-rank", "-1"),
+    ("--tol-pos", "0"), ("--fd-step", "0"), ("--fd-step", "nan")])
+def test_main_out_of_range_flag_is_a_usage_error(tmp_path, capsys, flag,
+                                                 value):
+    f = tmp_path / "tube.cfl"
+    f.write_text(TUBE_DOC)
+    assert main([str(f), flag, value]) == 3
+    err = capsys.readouterr().err
+    assert "usage error" in err and flag in err
 
 
 def test_main_no_input(capsys):
