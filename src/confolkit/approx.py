@@ -6,6 +6,10 @@ family's top non-vanishing wedge collapses at some rate s^e; this module
 extracts the rate, matches a conformal factor against a declared target, and
 tests bivariate symplectic compatibility of the stratum two-forms.
 
+``limit_inputs`` is the one place a stratum's limit inputs are resolved: its
+two-form mu (compiled from ``mu_table`` once and kept on the StratumData),
+the family zeta_s whose rate is measured, and the target eta.
+
 A symbolic family is one index-keyed coefficient table in the chart
 coordinates and the parameter (the table helpers live in chartfield and are
 re-exported here); alpha and its exact d are compiled once and each
@@ -14,7 +18,6 @@ expansion of alpha ^ dalpha^(k+1); the numeric route fits it on a ladder of
 parameter values with the finite-difference d, so the two cross-check.
 """
 
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -27,13 +30,13 @@ from .chartfield import (Chart, FormFieldNum, _canon_table, compile_table,
                          table_wedge_power)
 from .conetame import FAIL, PASS, UNDETERMINED
 from .confolcheck import (SKIPPED, ConfoliationData, HyperplaneField, Verdict,
-                          aggregate, order_at, rank_stratify)
+                          aggregate, order_at)
 
 __all__ = [
     "DeformationFamily", "PartitionedForm", "StratumData", "StratumLimit",
-    "ConformalLimitReport", "practical_mu", "conformal_limit", "compat_check",
-    "approx_verdict", "table_d", "table_wedge", "table_wedge_power",
-    "table_contract", "table_to_field",
+    "ConformalLimitReport", "base_table", "limit_inputs", "practical_mu",
+    "conformal_limit", "compat_check", "approx_verdict", "table_d",
+    "table_wedge", "table_wedge_power", "table_contract", "table_to_field",
 ]
 
 
@@ -77,6 +80,24 @@ def _laurent(expr, s, max_deg=8):
     return out
 
 
+def base_table(chart, table, param):
+    """The one-form table of a family at parameter = 0.
+
+    Raises ValueError naming the differential whose coefficient is not
+    finite there: such a family has no base.
+    """
+    out = {}
+    for key, e in _canon_table(chart, table).items():
+        e0 = e.subs(param, 0)
+        if e0.has(sp.zoo, sp.oo, -sp.oo, sp.nan):
+            raise ValueError(f"coefficient of d{chart.names[key[0]]} is not "
+                             f"finite at {param} = 0: the family has no base")
+        e0 = sp.expand(e0)
+        if e0 != 0:
+            out[key] = e0
+    return out
+
+
 # ---------------------------------------------------------------------------
 # family and partition containers
 # ---------------------------------------------------------------------------
@@ -106,15 +127,12 @@ class DeformationFamily:
         return (self.chart.dim - 1) // 2
 
     @classmethod
-    def from_table(cls, chart, table, omega, param="s", base_table=None,
-                   tau_rank=1e-7, tau_pos=1e-9):
+    def from_table(cls, chart, table, omega, param="s", tau_rank=1e-7,
+                   tau_pos=1e-9):
         param = sp.Symbol(param) if isinstance(param, str) else param
         table = _canon_table(chart, table)
-        if base_table is None:
-            base_table = {key: sp.expand(e.subs(param, 0))
-                          for key, e in table.items()}
-            base_table = {k: v for k, v in base_table.items() if v != 0}
-        base_h = HyperplaneField.from_symbolic(chart, base_table)
+        base_h = HyperplaneField.from_symbolic(
+            chart, base_table(chart, table, param))
         if isinstance(omega, dict):
             omega = table_to_field(chart, omega, 2)
         base = ConfoliationData(base_h, omega, tau_rank, tau_pos)
@@ -181,6 +199,54 @@ class PartitionedForm:
 
     def labels(self):
         return list(self.strata)
+
+
+def _beta_k(h: HyperplaneField, k):
+    """beta ^ dbeta^k of a hyperplane field."""
+    return h.alpha.wedge(h.dalpha.wedge_power(k))
+
+
+def _family_top(fam: DeformationFamily, k):
+    """s -> alpha_s ^ dalpha_s^(k+1) with the finite-difference d."""
+    def top(s):
+        a = fam.alpha_of(s)
+        return a.wedge(d_fd(a).wedge_power(k + 1))
+    return top
+
+
+def _stratum_mu(chart, sd: StratumData):
+    if sd.mu is None and sd.mu_table is not None:
+        sd.mu = table_to_field(chart, sd.mu_table, 2)
+    return sd.mu
+
+
+def limit_inputs(fam: DeformationFamily, pf: PartitionedForm):
+    """Stratum label -> (order, samples, zeta, eta, mu) on every non-contact
+    stratum (2k+3 <= dim), in partition order.
+
+    zeta is ``zeta_table``, else ``zeta``, else the family's own top form
+    alpha_s ^ dalpha_s^(k+1) (the exact table of a symbolic family, the
+    finite-difference callable otherwise).  eta is ``eta_table``, else
+    ``eta``, else beta ^ dbeta^k ^ mu.  mu is compiled from ``mu_table`` on
+    first use and kept on the StratumData; without either, mu is None and so
+    is a default eta.
+    """
+    chart = fam.chart
+    out = {}
+    for lab, sd in pf.strata.items():
+        k = sd.order
+        if 2 * k + 3 > chart.dim:
+            continue
+        mu = _stratum_mu(chart, sd)
+        zeta = sd.zeta_table if sd.zeta_table is not None else sd.zeta
+        if zeta is None:
+            zeta = (table_top(chart, fam.table, k) if fam.table is not None
+                    else _family_top(fam, k))
+        eta = sd.eta_table if sd.eta_table is not None else sd.eta
+        if eta is None and mu is not None:
+            eta = _beta_k(fam.base.h, k).wedge(mu)
+        out[lab] = (k, sd.samples, zeta, eta, mu)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +322,7 @@ def practical_mu(fam: DeformationFamily, order, xbar, samples, tau=1e-9):
         return lambda s: FormFieldNum(chart, max(chart.dim - 2 * k - 2, 0), {})
 
     # normalization against the base
-    base_f = fam.base.h.alpha.wedge(fam.base.h.dalpha.wedge_power(k))
+    base_f = _beta_k(fam.base.h, k)
     for smp in samples:
         T = base_f.eval_at(smp.point)
         for v in xbar:
@@ -272,10 +338,10 @@ def practical_mu(fam: DeformationFamily, order, xbar, samples, tau=1e-9):
             zt = table_contract(chart, zt, v)
         return zt
 
+    top = _family_top(fam, k)
+
     def family(s):
-        a = fam.alpha_of(s)
-        da = d_fd(a)
-        out = a.wedge(da.wedge_power(k + 1))
+        out = top(s)
         for v in xbar:
             out = _field_contract(out, v)
         return out
@@ -307,14 +373,12 @@ def _field_contract(f: FormFieldNum, v):
 class StratumLimit:
     label: object
     order: int
-    exponent: object             # leading power of the parameter (int)
-    factor_exponent: object      # F_s = w(x) / (c * s^factor_exponent)
-    factor_coeff: object         # c when the weight is constant, else None
+    exponent: object             # leading power e of the parameter (int)
+    factor_coeff: object         # F_s = w(x) / (c * s^e): c when w is constant
     factor_values: np.ndarray    # per-sample weights w = eta/zeta_leading
     residual: float
     status: str
     r_squared: object = None
-    leading: object = None       # leading coefficient table (symbolic path)
     message: str = ""
 
 
@@ -324,17 +388,6 @@ class ConformalLimitReport:
     compat: dict = field(default_factory=dict)   # label -> Verdict
     status: str = PASS
     verdict: Verdict = None
-
-    def refresh_status(self):
-        st = [s.status for s in self.strata.values()]
-        st += [v.status for v in self.compat.values()]
-        if any(s == FAIL for s in st):
-            self.status = FAIL
-        elif any(s == UNDETERMINED for s in st):
-            self.status = UNDETERMINED
-        else:
-            self.status = PASS
-        return self.status
 
 
 def conformal_limit(zeta, eta, samples, chart=None, param="s", order=None,
@@ -357,17 +410,13 @@ def conformal_limit(zeta, eta, samples, chart=None, param="s", order=None,
         rep.strata[lab] = _limit_one(lab, order.get(lab), zs, eta[lab],
                                      samples[lab], chart, param, j_range,
                                      tau, tau_num)
-    rep.refresh_status()
+    rep.status = aggregate(rep.strata)
     return rep
-
-
-def _is_table(obj):
-    return isinstance(obj, dict)
 
 
 def _limit_one(label, order, zeta, eta, samples, chart, param, j_range,
                tau, tau_num):
-    if _is_table(zeta):
+    if isinstance(zeta, dict):
         return _limit_symbolic(label, order, zeta, eta, samples, chart,
                                param, tau)
     return _limit_numeric(label, order, zeta, eta, samples, j_range, tau_num)
@@ -385,41 +434,50 @@ def _limit_symbolic(label, order, zeta, eta, samples, chart, param, tau):
                 by_power.get(k, {}).get(key, 0) + c
 
     # minimal exponent with coefficient alive on the stratum samples
-    exponent, lead = None, None
+    exponent = None
     for k in sorted(by_power):
-        tab = by_power[k]
-        fld = table_to_field(chart, tab)
+        fld = table_to_field(chart, by_power[k])
         mx = max((abs(v) for smp in samples
                   for v in fld.components(smp.point).values()),
                  default=0.0)
         if mx > tau:
-            exponent, lead, lead_f = k, tab, fld
+            exponent, lead = k, fld
             break
     if exponent is None:
-        return StratumLimit(label, order, None, None, None, np.array([]),
-                            1.0, FAIL, message="family vanishes on stratum")
+        return StratumLimit(label, order, None, None, np.array([]), 1.0,
+                            FAIL, message="family vanishes on stratum")
 
-    if _is_table(eta):
-        eta = table_to_field(chart, eta)
+    bad, ratios, resid, coeff = _factor_fit(lead, eta, samples, tau, 1e-6)
+    if bad is not None:
+        return StratumLimit(label, order, exponent, None, np.array([]), 1.0,
+                            FAIL, message=f"no positive proportionality at "
+                                          f"{bad}")
+    return StratumLimit(label, order, int(exponent), coeff, ratios, resid,
+                        PASS if resid <= max(tau, 1e-9) * 10 else FAIL)
+
+
+def _factor_fit(lead: FormFieldNum, eta, samples, tau, spread_tol, scale=1.0):
+    """Per-sample weights w = eta / (lead / scale) at ``samples``.
+
+    Returns (bad, weights, worst residual, coeff): coeff = 1/mean(w) when
+    the weights agree to ``spread_tol`` relative, else None (F_s = 1/(coeff
+    * s^e)); bad is the first sample point without a common positive ratio,
+    and then the other three are None.
+    """
+    if isinstance(eta, dict):
+        eta = table_to_field(lead.chart, eta)
     ratios, resid = [], 0.0
     for smp in samples:
-        zc = lead_f.components(smp.point)
+        zc = {k: v / scale for k, v in lead.components(smp.point).items()}
         r, rs = _ratio_match(zc, eta.components(smp.point), tau)
         if r is None:
-            return StratumLimit(label, order, exponent, None, None,
-                                np.array([]), 1.0, FAIL, leading=lead,
-                                message=f"no positive proportionality at "
-                                        f"{smp.point}")
+            return smp.point, None, None, None
         ratios.append(r)
         resid = max(resid, rs)
     ratios = np.array(ratios)
     spread = float(np.max(ratios) - np.min(ratios)) / float(np.max(ratios))
-    coeff = None
-    if spread <= 1e-6:
-        coeff = 1.0 / float(np.mean(ratios))     # F_s = 1/(coeff * s^e)
-    return StratumLimit(label, order, int(exponent), int(exponent), coeff,
-                        ratios, resid, PASS if resid <= max(tau, 1e-9) * 10
-                        else FAIL, leading=lead)
+    coeff = 1.0 / float(np.mean(ratios)) if spread <= spread_tol else None
+    return None, ratios, resid, coeff
 
 
 def _limit_numeric(label, order, zeta, eta, samples, j_range, tau_num):
@@ -430,9 +488,8 @@ def _limit_numeric(label, order, zeta, eta, samples, j_range, tau_num):
     for smp in samples:
         norms = np.array([_field_norm_at(f, smp.point) for f in fields])
         if np.any(norms <= 0):
-            return StratumLimit(label, order, None, None, None, np.array([]),
-                                1.0, FAIL,
-                                message="family vanishes on the ladder")
+            return StratumLimit(label, order, None, None, np.array([]), 1.0,
+                                FAIL, message="family vanishes on the ladder")
         x, y = np.log(svals), np.log(norms)
         A = np.vstack([x, np.ones_like(x)]).T
         (m, _), res, _, _ = np.linalg.lstsq(A, y, rcond=None)
@@ -443,33 +500,21 @@ def _limit_numeric(label, order, zeta, eta, samples, j_range, tau_num):
     slopes, r2s = np.array(slopes), np.array(r2s)
     e = int(round(float(np.median(slopes))))
     if np.min(r2s) < 0.999 or np.max(np.abs(slopes - e)) > 0.1:
-        return StratumLimit(label, order, None, None, None, np.array([]),
-                            1.0, UNDETERMINED, r_squared=float(np.min(r2s)),
+        return StratumLimit(label, order, None, None, np.array([]), 1.0,
+                            UNDETERMINED, r_squared=float(np.min(r2s)),
                             message="leading exponent unstable on ladder")
     s_min = float(svals[-1])
-    f_min = fields[-1]
-    if _is_table(eta):
-        eta = table_to_field(f_min.chart, eta)
-    ratios, resid = [], 0.0
-    for smp in samples:
-        zc = {k: v / s_min ** e for k, v in f_min.components(smp.point).items()}
-        ec = eta.components(smp.point)
-        # higher-order contamination at the finite smallest rung is live
-        # noise of size O(s_min); mask it out of the support comparison
-        r, rs = _ratio_match(zc, ec, max(1e-9, 10 * s_min))
-        if r is None:
-            return StratumLimit(label, order, e, None, None, np.array([]),
-                                1.0, FAIL, r_squared=float(np.min(r2s)),
-                                message=f"nonconvergent ratios at {smp.point}")
-        ratios.append(r)
-        resid = max(resid, rs)
-    ratios = np.array(ratios)
-    status = PASS if resid <= tau_num else FAIL
-    coeff = None
-    spread = float(np.max(ratios) - np.min(ratios)) / float(np.max(ratios))
-    if spread <= 10 * tau_num:
-        coeff = 1.0 / float(np.mean(ratios))
-    return StratumLimit(label, order, e, e, coeff, ratios, resid, status,
+    # higher-order contamination at the finite smallest rung is live noise
+    # of size O(s_min); mask it out of the support comparison
+    bad, ratios, resid, coeff = _factor_fit(
+        fields[-1], eta, samples, max(1e-9, 10 * s_min), 10 * tau_num,
+        scale=s_min ** e)
+    if bad is not None:
+        return StratumLimit(label, order, e, None, np.array([]), 1.0, FAIL,
+                            r_squared=float(np.min(r2s)),
+                            message=f"nonconvergent ratios at {bad}")
+    return StratumLimit(label, order, e, coeff, ratios, resid,
+                        PASS if resid <= tau_num else FAIL,
                         r_squared=float(np.min(r2s)))
 
 
@@ -484,7 +529,7 @@ def _q_coeffs(c: ConfoliationData, sd: StratumData, n):
     """Point-independent fields behind Q(s,t) = sum Q_bm s^b t^m."""
     k = sd.order
     i = n - k
-    beta_k = c.h.alpha.wedge(c.h.dalpha.wedge_power(k))
+    beta_k = _beta_k(c.h, k)
     fields = {}
     for b in range(i + 1):
         for m in range(i + 1 - b):
@@ -553,8 +598,7 @@ def compat_check(c: ConfoliationData, pf: PartitionedForm, tau=None) -> Verdict:
     top = tuple(range(chart.dim))
     sub = {}
     for lab, sd in pf.strata.items():
-        if sd.mu is None and sd.mu_table is not None:
-            sd.mu = table_to_field(chart, sd.mu_table, 2)
+        _stratum_mu(chart, sd)
         fields = _q_coeffs(c, sd, n)
         worst, wit, statuses = np.inf, None, []
         for smp in sd.samples:
@@ -627,53 +671,34 @@ def approx_verdict(fam: DeformationFamily, pf: PartitionedForm, samples=None,
                            "only to k=0 families; this family is smooth")
 
     # per-stratum items (a), (b), (c)
-    a_sub, lim_zeta, lim_eta, lim_samp, lim_ord = {}, {}, {}, {}, {}
-    for lab, sd in pf.strata.items():
-        k = sd.order
-        if 2 * k + 3 > chart.dim:
+    inputs = limit_inputs(fam, pf)
+    a_sub, lim = {}, {}
+    for lab in pf.strata:
+        if lab not in inputs:
             a_sub[lab] = Verdict(PASS, message="contact stratum, no mu needed")
             continue
-        mu = sd.mu
-        if mu is None and sd.mu_table is not None:
-            mu = sd.mu = table_to_field(chart, sd.mu_table, 2)
+        k, samples_i, _, _, mu = inputs[lab]
         if mu is None:
             a_sub[lab] = Verdict(FAIL, message=f"stratum {lab} missing mu")
             continue
-        anchor = fam.base.h.alpha.wedge(
-            fam.base.h.dalpha.wedge_power(k)).wedge(mu)
-        low = min(_field_norm_at(anchor, smp.point) for smp in sd.samples)
+        anchor = _beta_k(fam.base.h, k).wedge(mu)
+        low = min(_field_norm_at(anchor, smp.point) for smp in samples_i)
         scale = max(_field_norm_at(fam.base.h.alpha, smp.point)
-                    for smp in sd.samples)
+                    for smp in samples_i)
         a_sub[lab] = Verdict(PASS if low > tau * scale else FAIL,
                              {"min_norm": low}, None,
                              f"beta ^ dbeta^{k} ^ mu nonzero on stratum")
-        # item (b) inputs: supplied extension or the raw family on-stratum
-        if sd.zeta_table is not None:
-            lim_zeta[lab] = sd.zeta_table
-        elif sd.zeta is not None:
-            lim_zeta[lab] = sd.zeta
-        elif fam.table is not None:
-            lim_zeta[lab] = table_top(chart, fam.table, k)
-        else:
-            lim_zeta[lab] = (lambda kk: lambda s: (lambda a: a.wedge(
-                d_fd(a).wedge_power(kk + 1)))(fam.alpha_of(s)))(k)
-        if sd.eta is not None or sd.eta_table is not None:
-            lim_eta[lab] = sd.eta_table if sd.eta_table is not None else sd.eta
-        else:
-            lim_eta[lab] = fam.base.h.alpha.wedge(
-                fam.base.h.dalpha.wedge_power(k)).wedge(mu)
-        lim_samp[lab] = sd.samples
-        lim_ord[lab] = k
+        lim[lab] = inputs[lab]
 
     rep = ConformalLimitReport()
-    if lim_zeta:
-        rep = conformal_limit(lim_zeta, lim_eta, lim_samp, chart=chart,
-                              param=fam.param, order=lim_ord)
+    if lim:
+        order, samp, zeta, eta = ({lab: v[i] for lab, v in lim.items()}
+                                  for i in range(4))
+        rep = conformal_limit(zeta, eta, samp, chart=chart, param=fam.param,
+                              order=order)
     sub["item_a"] = Verdict(aggregate(a_sub), sub=a_sub,
                             message="stratum anchoring forms")
-    st_b = ([s.status for s in rep.strata.values()] or [PASS])
-    sub["item_b"] = Verdict(FAIL if FAIL in st_b else
-                            UNDETERMINED if UNDETERMINED in st_b else PASS,
+    sub["item_b"] = Verdict(aggregate(rep.strata),
                             message="conformal convergence")
     sub["item_c"] = compat_check(fam.base, pf, tau=max(tau, fam.base.tau_pos))
     rep.compat = sub["item_c"].sub

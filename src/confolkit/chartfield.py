@@ -58,10 +58,6 @@ class Chart:
     def index(self, name):
         return self.names.index(name)
 
-    def period(self, i):
-        lo, hi = self.box[i]
-        return hi - lo
-
     def lift(self, p):
         """Wrap periodic coordinates into the box; error on out-of-box rest."""
         p = np.asarray(p, dtype=float)
@@ -154,14 +150,6 @@ class FormFieldNum:
         """Sorted-key coefficient dict at p."""
         q = self.chart.lift(p)
         return {key: float(fn(q)) for key, fn in self.coeffs.items()}
-
-    def restrict_at(self, p, B):
-        """Components in a subspace: contract every slot with basis columns."""
-        T = self.eval_at(p)
-        B = np.asarray(B, dtype=float)
-        for _ in range(self.degree):
-            T = np.tensordot(T, B, axes=([0], [0]))
-        return T
 
     # -- algebra -----------------------------------------------------------
     def __add__(self, other):

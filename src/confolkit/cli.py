@@ -56,12 +56,12 @@ from . import gallery as _gallery
 from .chartfield import (Chart, PointSample, _canon_table, sample_grid,
                          table_to_field, table_top)
 from .conetame import FAIL, PASS, UNDETERMINED
-from .confolcheck import (SKIPPED, ConfoliationData, HyperplaneField,
+from .confolcheck import (ConfoliationData, HyperplaneField,
                           StableHamiltonianPair, Verdict, confoliation_check,
                           order_at, shs_check)
 from .approx import (ConformalLimitReport, DeformationFamily, PartitionedForm,
-                     StratumData, StratumLimit, approx_verdict)
-from .grassmann import FormAlgebra, FormExpr
+                     StratumData, StratumLimit, approx_verdict, base_table)
+from .grassmann import FormAlgebra
 
 
 class CflError(Exception):
@@ -679,12 +679,10 @@ class _Parser:
             if len(pars) != 1:
                 self.fail("an approx family needs exactly one declared "
                           "parameter in its coefficients", at)
-            par = sp.Symbol(pars[0])
-            for (i,), e in tab_a.items():
-                if e.subs(par, 0).has(sp.zoo, sp.oo, -sp.oo, sp.nan):
-                    self.fail(f"coefficient of d{self.chart.names[i]} is not "
-                              f"finite at {par} = 0: the family has no base",
-                              at)
+            try:
+                base_table(self.chart, tab_a, sp.Symbol(pars[0]))
+            except ValueError as exc:
+                self.fail(str(exc), at)
             return ("approx", stmt, tab_a, tab_b, pars[0])
         tab_a = self.lower_numeric(A, 1, at, allow_param=False)
         return (stmt.kind, stmt, tab_a, tab_b)

@@ -70,12 +70,6 @@ class BasedSubspace:
         """Two-form (or metric) matrix in this basis: B^T M B."""
         return self.basis.T @ np.asarray(M, dtype=float) @ self.basis
 
-    def orthonormalized(self):
-        if self.dim == 0:
-            return self
-        q, _ = np.linalg.qr(self.basis)
-        return BasedSubspace(self.ambient_dim, q, self.orientation)
-
 
 @dataclass
 class SkewPair:

@@ -26,7 +26,6 @@ from confolkit.chartfield import (
     fd_jacobian,
     flow_rk4,
     pullback,
-    sample_grid,
     table_d,
 )
 from confolkit.conetame import (
@@ -38,8 +37,6 @@ from confolkit.conetame import (
     kernel_with_tol,
     pencil_positive,
     pfaffian,
-    split_cotamed_J,
-    taming_check,
 )
 
 SKIPPED = "SKIPPED"

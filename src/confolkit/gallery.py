@@ -2,10 +2,14 @@
 
 Each entry bundles a constructor, the produced structures, and the verdict
 table its checks are expected to reproduce.  Builders are deterministic for a
-fixed seed; ``GalleryEntry.verify`` re-runs every check and reports any row
-that disagrees with the expected table.
+fixed seed; ``GalleryEntry.verify`` runs every check and reports any row
+that disagrees with the expected table.  Rows that read one analysis (the
+approximation bundle of a family entry, the pointwise items of
+product-blob) share it: it is computed on the first run of a built entry and
+reused after, so recomputing means building the entry again.
 """
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -13,7 +17,7 @@ import numpy as np
 import sympy as sp
 
 from .chartfield import (Chart, FormFieldNum, PointSample, d_fd, sample_grid,
-                         table_to_field, table_top)
+                         table_to_field)
 from .conetame import FAIL, PASS, SkewPair, kernel_with_tol, split_cotamed_J
 from .confolcheck import (
     SKIPPED, ConfoliationData, HyperplaneField, OpenBookProfiles,
@@ -22,8 +26,8 @@ from .confolcheck import (
     open_book_confoliation, open_book_samples, open_book_shs_residual,
     order_at, profile_constraints, shs_check, transversely_exact_check)
 from .approx import (
-    DeformationFamily, PartitionedForm, StratumData, approx_verdict,
-    conformal_limit)
+    DeformationFamily, PartitionedForm, StratumData, _family_top,
+    approx_verdict, conformal_limit, limit_inputs)
 from .grassmann import FormAlgebra, wedge_all
 
 
@@ -38,6 +42,8 @@ class GalleryEntry:
     ``checks`` maps each row label to a zero-argument callable returning a
     Verdict (or a bare status string); ``expected`` fixes the status every row
     must reproduce.  ``structures`` exposes the built objects for reuse.
+    Rows reading one shared analysis compute it once per built entry: a
+    second run reuses it, and a fresh ``build`` recomputes it.
     """
 
     name: str
@@ -49,12 +55,8 @@ class GalleryEntry:
     seed: int = 0
 
     def run(self):
-        """Recompute every row; returns label -> status in table order."""
-        out = {}
-        for label in self.expected:
-            res = self.checks[label]()
-            out[label] = res.status if isinstance(res, Verdict) else res
-        return out
+        """Label -> status of every row, in table order."""
+        return {label: v.status for label, v in self.run_verdicts().items()}
 
     def run_verdicts(self):
         out = {}
@@ -126,32 +128,14 @@ def _pts(*rows):
 def _exponent_agreement(fam, pf, j_range=(4, 16)):
     """Symbolic and numeric conformal limits must agree on the leading
     exponent (and both pass) on every non-contact stratum."""
-    chart = fam.chart
     sub = {}
-    for lab, sd in pf.strata.items():
-        k = sd.order
-        if 2 * k + 3 > chart.dim:
-            continue
-        zt = sd.zeta_table
-        if zt is None and fam.table is not None:
-            zt = table_top(chart, fam.table, k)
-        mu = sd.mu if sd.mu is not None else table_to_field(chart, sd.mu_table, 2)
-        if sd.eta_table is not None:
-            eta_sym = sd.eta_table
-            eta_num = table_to_field(chart, sd.eta_table)
-        else:
-            eta_num = fam.base.h.alpha.wedge(
-                fam.base.h.dalpha.wedge_power(k)).wedge(mu)
-            eta_sym = eta_num
-        rep_s = conformal_limit({lab: zt}, {lab: eta_sym}, {lab: sd.samples},
-                                chart=chart, param=fam.param, order={lab: k})
-
-        def zfun(sv, kk=k):
-            a = fam.alpha_of(sv)
-            return a.wedge(d_fd(a).wedge_power(kk + 1))
-
-        rep_n = conformal_limit({lab: zfun}, {lab: eta_num}, {lab: sd.samples},
-                                chart=chart, param=fam.param, order={lab: k},
+    for lab, (k, samples, zeta, eta, _) in limit_inputs(fam, pf).items():
+        rep_s = conformal_limit({lab: zeta}, {lab: eta}, {lab: samples},
+                                chart=fam.chart, param=fam.param,
+                                order={lab: k})
+        rep_n = conformal_limit({lab: _family_top(fam, k)}, {lab: eta},
+                                {lab: samples}, chart=fam.chart,
+                                param=fam.param, order={lab: k},
                                 j_range=j_range)
         ls, ln = rep_s.strata[lab], rep_n.strata[lab]
         ok = (ls.status == PASS and ln.status == PASS
@@ -162,6 +146,16 @@ def _exponent_agreement(fam, pf, j_range=(4, 16)):
                                  f"{ls.exponent} / {ln.exponent}")
     return Verdict(aggregate(sub), sub=sub,
                    message="symbolic and numeric leading exponents agree")
+
+
+def _factor_row(lim, coeff, tol):
+    """A stratum limit with exponent 1 and constant factor ``coeff``."""
+    ok = (lim.status == PASS and lim.exponent == 1
+          and lim.factor_coeff is not None
+          and abs(lim.factor_coeff - coeff) <= tol)
+    return _bool_verdict(ok, {"exponent": lim.exponent,
+                              "factor_coeff": lim.factor_coeff},
+                         _factor_message(lim.exponent, lim.factor_coeff))
 
 
 def _factor_message(exponent, coeff):
@@ -474,24 +468,16 @@ def _build_r5_cubic(s_probe=0.25, seed=0):
         "C0": StratumData(order=2, samples=generic),
     })
 
-    def approx_check():
-        return approx_verdict(fam, pf, s_probe=s_probe, seed=seed).verdict
-
-    def factor_check():
-        rep = approx_verdict(fam, pf, s_probe=s_probe, seed=seed)
-        lim = rep.strata["C1"]
-        ok = (lim.status == PASS and lim.exponent == 1
-              and lim.factor_coeff is not None
-              and abs(lim.factor_coeff - 2.0) <= 2.0e-9)
-        return _bool_verdict(ok, {"exponent": lim.exponent,
-                                  "factor_coeff": lim.factor_coeff},
-                             _factor_message(lim.exponent, lim.factor_coeff))
+    report = functools.cache(
+        lambda: approx_verdict(fam, pf, s_probe=s_probe, seed=seed))
 
     return GalleryEntry(
         name="r5-cubic", params={"s_probe": s_probe, "seed": seed},
         structures={"family": fam, "partition": pf},
         expected={"approx": PASS, "factor": PASS, "exponents": PASS},
-        checks={"approx": approx_check, "factor": factor_check,
+        checks={"approx": lambda: report().verdict,
+                "factor": lambda: _factor_row(report().strata["C1"], 2.0,
+                                              2.0e-9),
                 "exponents": lambda: _exponent_agreement(fam, pf)},
         notes=("the top form is (6*x1^2 + 2*s) vol, so the degenerate locus "
                "x1 = 0 carries conformal factor 1/(2s)",),
@@ -512,13 +498,12 @@ def _build_r5_flat(s_probe=0.25, seed=0):
                                  mu_table={("x1", "y1"): 1,
                                            ("x2", "y2"): 1})})
 
-    def approx_check():
-        return approx_verdict(fam, pf, samples=generic, s_probe=s_probe,
-                              seed=seed).verdict
+    report = functools.cache(
+        lambda: approx_verdict(fam, pf, samples=generic, s_probe=s_probe,
+                               seed=seed))
 
     def failing_item_check():
-        rep = approx_verdict(fam, pf, samples=generic, s_probe=s_probe,
-                             seed=seed)
+        rep = report()
         sub = rep.verdict.sub
         ok = (rep.verdict.status == FAIL
               and sub["item_c"].status == FAIL
@@ -531,7 +516,8 @@ def _build_r5_flat(s_probe=0.25, seed=0):
         name="r5-flat-negative", params={"s_probe": s_probe, "seed": seed},
         structures={"family": fam, "partition": pf},
         expected={"approx": FAIL, "failing-item": PASS, "exponents": PASS},
-        checks={"approx": approx_check, "failing-item": failing_item_check,
+        checks={"approx": lambda: report().verdict,
+                "failing-item": failing_item_check,
                 "exponents": lambda: _exponent_agreement(fam, pf)},
         notes=("the proposed cone direction dx1^dx2 + dy1^dy2 pairs "
                "negatively with the volume: the compatibility polynomial has "
@@ -554,25 +540,17 @@ def _build_bm(lam_scale=1.0, seed=0):
                                  mu_table={("x1", "y1"): c,
                                            ("x2", "y2"): c})})
 
-    def approx_check():
-        return approx_verdict(fam, pf, samples=generic, seed=seed).verdict
-
-    def factor_check():
-        rep = approx_verdict(fam, pf, samples=generic, seed=seed)
-        lim = rep.strata["foliation"]
-        ok = (lim.status == PASS and lim.exponent == 1
-              and lim.factor_coeff is not None
-              and abs(lim.factor_coeff - 1.0) <= 1e-9)
-        return _bool_verdict(ok, {"exponent": lim.exponent,
-                                  "factor_coeff": lim.factor_coeff},
-                             _factor_message(lim.exponent, lim.factor_coeff))
+    report = functools.cache(
+        lambda: approx_verdict(fam, pf, samples=generic, seed=seed))
 
     return GalleryEntry(
         name="bertelson-meigniez-r5",
         params={"lam_scale": lam_scale, "seed": seed},
         structures={"family": fam, "partition": pf},
         expected={"approx": PASS, "factor": PASS, "exponents": PASS},
-        checks={"approx": approx_check, "factor": factor_check,
+        checks={"approx": lambda: report().verdict,
+                "factor": lambda: _factor_row(report().strata["foliation"],
+                                              1.0, 1e-9),
                 "exponents": lambda: _exponent_agreement(fam, pf)},
         notes=("linear deformation of the closed-kernel foliation dz = 0 by "
                "the primitive x1 dy1 + x2 dy2; mu is its differential and "
@@ -601,9 +579,6 @@ def _build_branched_cover(k=2, eps=1.0, seed=0):
         "bulk": StratumData(order=1, samples=bulk)})
     zt = {(0, 1, 2): 2 * _s * e * rr}
     et = {(0, 1, 2): 2 * rr}
-
-    def approx_check():
-        return approx_verdict(fam, pf, samples=bulk, seed=seed).verdict
 
     def contact_family_check():
         h1 = fam.base
@@ -646,7 +621,8 @@ def _build_branched_cover(k=2, eps=1.0, seed=0):
         structures={"family": fam, "partition": pf},
         expected={"approx": PASS, "contact-family": PASS,
                   "conformal-limit": PASS},
-        checks={"approx": approx_check,
+        checks={"approx": lambda: approx_verdict(fam, pf, samples=bulk,
+                                                 seed=seed).verdict,
                 "contact-family": contact_family_check,
                 "conformal-limit": conformal_limit_check},
         notes=(f"local model dz + r^2 dphi pulled back under phi = "
@@ -697,18 +673,8 @@ def _build_mnw(n=1, k=1, seed=0):
     pf = PartitionedForm({
         "pages": StratumData(order=0, samples=samples, mu_table=mu_tab)})
 
-    def approx_check():
-        return approx_verdict(fam, pf, samples=samples, seed=seed).verdict
-
-    def factor_check():
-        rep = approx_verdict(fam, pf, samples=samples, seed=seed)
-        lim = rep.strata["pages"]
-        ok = (lim.status == PASS and lim.exponent == 1
-              and lim.factor_coeff is not None
-              and abs(lim.factor_coeff - 1.0) <= 1e-9)
-        return _bool_verdict(ok, {"exponent": lim.exponent,
-                                  "factor_coeff": lim.factor_coeff},
-                             _factor_message(lim.exponent, lim.factor_coeff))
+    report = functools.cache(
+        lambda: approx_verdict(fam, pf, samples=samples, seed=seed))
 
     def identity_check():
         res = mnw_volume_identity(n, k=k)
@@ -720,7 +686,9 @@ def _build_mnw(n=1, k=1, seed=0):
         structures={"family": fam, "partition": pf},
         expected={"approx": PASS, "factor": PASS, "volume-identity": PASS,
                   "exponents": PASS},
-        checks={"approx": approx_check, "factor": factor_check,
+        checks={"approx": lambda: report().verdict,
+                "factor": lambda: _factor_row(report().strata["pages"], 1.0,
+                                              1e-9),
                 "volume-identity": identity_check,
                 "exponents": lambda: _exponent_agreement(fam, pf)},
         notes=("coherent model: alpha_pm = +-e^(sum t) dth0 + sum e^(-ti) "
@@ -864,11 +832,10 @@ def _build_ob_deformation(delta=1.0, seed=0):
     def profiles_check():
         return profile_constraints(profiles)
 
-    def approx_check():
-        return approx_verdict(fam, pf, seed=seed).verdict
+    report = functools.cache(lambda: approx_verdict(fam, pf, seed=seed))
 
     def factors_check():
-        rep = approx_verdict(fam, pf, seed=seed)
+        rep = report()
         g0z = rep.strata["g0-zero"]
         f0z = rep.strata["f0-zero"]
         rs = np.array([s_.point[1] for s_ in pf.strata["g0-zero"].samples])
@@ -888,7 +855,8 @@ def _build_ob_deformation(delta=1.0, seed=0):
         structures={"family": fam, "partition": pf, "profiles": profiles},
         expected={"profiles": PASS, "approx": PASS, "factors": PASS,
                   "exponents": PASS},
-        checks={"profiles": profiles_check, "approx": approx_check,
+        checks={"profiles": profiles_check,
+                "approx": lambda: report().verdict,
                 "factors": factors_check,
                 "exponents": lambda: _exponent_agreement(fam, pf)},
         notes=("the deformation turns the page foliation region into contact "
@@ -1021,8 +989,11 @@ def _build_product_blob(seed=2):
                for rv in (0.2, 0.25, 0.8, 1.5, 2.4, 3.0)]
     Om = mu + d_fd(gamma)
 
+    items = functools.cache(
+        lambda: blob_pointwise_check(c, blob, samples).sub)
+
     def item(label):
-        return lambda: blob_pointwise_check(c, blob, samples).sub[label]
+        return lambda: items()[label]
 
     def exact_check():
         return transversely_exact_check(c, blob, Om, samples)

@@ -128,6 +128,15 @@ def test_family_base_from_table():
     assert fam.n == 2
 
 
+def test_family_singular_at_the_base_is_a_value_error():
+    x = sp.Symbol("x")
+    chart = Chart(("x", "y", "z"), ((-1, 1),) * 3)
+    with pytest.raises(ValueError,
+                       match=r"coefficient of dy is not finite at s = 0"):
+        DeformationFamily.from_table(chart, {"z": 1, "y": x / s},
+                                     {("x", "y"): 1})
+
+
 def test_family_from_sequence_base():
     lam = {"z": 1}
     def fields(m):

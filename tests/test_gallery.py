@@ -50,6 +50,25 @@ def test_float_jitter_preserves_statuses(name):
         assert gallery.jittered(base, rel).run() == base.expected
 
 
+# entries whose rows read an approx_verdict report
+FAMILY_ENTRIES = ("r5-cubic", "r5-flat-negative", "bertelson-meigniez-r5",
+                  "branched-cover-r3", "mnw-torus", "openbook-deformation")
+
+
+@pytest.mark.parametrize("name", FAMILY_ENTRIES + ("product-blob",))
+def test_rows_share_one_analysis_per_built_entry(name, monkeypatch):
+    calls = {"approx_verdict": 0, "blob_pointwise_check": 0}
+    for fn_name in calls:
+        def counting(*args, _fn=getattr(gallery, fn_name), _name=fn_name,
+                     **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(gallery, fn_name, counting)
+    gallery.build(name).run()
+    assert calls == {"approx_verdict": int(name in FAMILY_ENTRIES),
+                     "blob_pointwise_check": int(name == "product-blob")}
+
+
 def test_entries_report_margins():
     entry = gallery.build("openbook-solid-torus")
     v = entry.run_verdicts()
