@@ -8,7 +8,8 @@ tests bivariate symplectic compatibility of the stratum two-forms.
 
 ``limit_inputs`` is the one place a stratum's limit inputs are resolved: its
 two-form mu (compiled from ``mu_table`` once and kept on the StratumData),
-the family zeta_s whose rate is measured, and the target eta.
+the family zeta_s whose rate is measured, and the target eta (from
+``stratum_eta``, which the gallery's numeric cross-check reads alone).
 
 A symbolic family is one index-keyed coefficient table in the chart
 coordinates and the parameter (the table helpers live in chartfield and are
@@ -34,9 +35,10 @@ from .confolcheck import (SKIPPED, ConfoliationData, HyperplaneField, Verdict,
 
 __all__ = [
     "DeformationFamily", "PartitionedForm", "StratumData", "StratumLimit",
-    "ConformalLimitReport", "base_table", "limit_inputs", "practical_mu",
-    "conformal_limit", "compat_check", "approx_verdict", "table_d",
-    "table_wedge", "table_wedge_power", "table_contract", "table_to_field",
+    "ConformalLimitReport", "base_table", "limit_inputs", "stratum_eta",
+    "practical_mu", "conformal_limit", "compat_check", "approx_verdict",
+    "table_d", "table_wedge", "table_wedge_power", "table_contract",
+    "table_to_field",
 ]
 
 
@@ -237,16 +239,23 @@ def limit_inputs(fam: DeformationFamily, pf: PartitionedForm):
         k = sd.order
         if 2 * k + 3 > chart.dim:
             continue
-        mu = _stratum_mu(chart, sd)
         zeta = sd.zeta_table if sd.zeta_table is not None else sd.zeta
         if zeta is None:
             zeta = (table_top(chart, fam.table, k) if fam.table is not None
                     else _family_top(fam, k))
-        eta = sd.eta_table if sd.eta_table is not None else sd.eta
-        if eta is None and mu is not None:
-            eta = _beta_k(fam.base.h, k).wedge(mu)
-        out[lab] = (k, sd.samples, zeta, eta, mu)
+        out[lab] = (k, sd.samples, zeta, stratum_eta(fam, sd),
+                    _stratum_mu(chart, sd))
     return out
+
+
+def stratum_eta(fam: DeformationFamily, sd: StratumData):
+    """A stratum's eta: ``eta_table``, else ``eta``, else beta ^ dbeta^k ^ mu
+    (None without a mu)."""
+    eta = sd.eta_table if sd.eta_table is not None else sd.eta
+    mu = _stratum_mu(fam.chart, sd)
+    if eta is None and mu is not None:
+        eta = _beta_k(fam.base.h, sd.order).wedge(mu)
+    return eta
 
 
 # ---------------------------------------------------------------------------

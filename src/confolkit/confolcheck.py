@@ -71,6 +71,24 @@ class AlphaVanishes(ValueError):
     """alpha is zero at a point, so ker(alpha) is no hyperplane there."""
 
 
+class NotFinite(ValueError):
+    """alpha has a nan or infinite coefficient at a point."""
+
+
+def _not_finite(values):
+    """Name of the first form in ``values`` (name -> its values at one point)
+    with a non-finite entry, else None; one np.isfinite call in all."""
+    flat = [np.ravel(v) for v in values.values()]
+    ok = np.isfinite(np.concatenate(flat))
+    if ok.all():
+        return None
+    first = int(np.argmin(ok))
+    for name, v in zip(values, flat):
+        if first < v.size:
+            return name
+        first -= v.size
+
+
 class HyperplaneField:
     """ker(alpha) on a chart, with dalpha cached (exact when built from a
     coefficient table, finite-difference otherwise)."""
@@ -94,7 +112,10 @@ class HyperplaneField:
     # -- pointwise frames --------------------------------------------------
     def alpha_at(self, p):
         v = self.alpha.eval_at(p)
-        if np.linalg.norm(v) < 1e-12:
+        norm = np.linalg.norm(v)
+        if not norm < np.inf:       # a nan or infinite coefficient
+            raise NotFinite(f"alpha is not finite at {p}")
+        if norm < 1e-12:
             raise AlphaVanishes(f"alpha vanishes at {p}")
         return v
 
@@ -222,8 +243,16 @@ def confoliation_check(c: ConfoliationData, samples) -> Verdict:
         except AlphaVanishes:
             return Verdict(FAIL, witness=s.point,
                            message="alpha vanishes at the witness")
-        mu_xi = xi.restrict(c.mu.eval_at(s.point))
-        da_xi = xi.restrict(c.h.dalpha.eval_at(s.point))
+        except NotFinite:
+            return Verdict(FAIL, witness=s.point,
+                           message="alpha is not finite at the witness")
+        mu, da = c.mu.eval_at(s.point), c.h.dalpha.eval_at(s.point)
+        bad = _not_finite({"dalpha": da, "mu": mu})
+        if bad is not None:
+            return Verdict(FAIL, witness=s.point,
+                           message=f"{bad} is not finite at the witness")
+        mu_xi = xi.restrict(mu)
+        da_xi = xi.restrict(da)
         pv = pencil_positive(SkewPair(mu_xi, da_xi, ("mu", "dalpha")))
         if pv.status != PASS:
             return Verdict(pv.status, witness=s.point,
@@ -350,27 +379,33 @@ def shs_check(s: StableHamiltonianPair, samples, tau=1e-9) -> Verdict:
     key = tuple(range(s.chart.dim))
     margins = []
     for smp in samples:
+        lam, W = s.lam.eval_at(smp.point), s.omega.eval_at(smp.point)
+        dl, dw = dlam.eval_at(smp.point), domega.eval_at(smp.point)
+        bad = _not_finite({"lambda": lam, "omega": W, "d lambda": dl,
+                           "d omega": dw})
+        if bad is not None:
+            return Verdict(FAIL, witness=smp.point,
+                           message=f"{bad} is not finite at the witness")
         vol = top.components(smp.point).get(key, 0.0)
         if vol <= tau:
             return Verdict(FAIL, witness=smp.point,
                            message=f"lambda^omega^{n} = {vol:.3e} not positive")
-        W = s.omega.eval_at(smp.point)
         res = kernel_with_tol(W, 1e-7)
         if res.status != PASS or res.subspace.dim != 1:
             return Verdict(FAIL, witness=smp.point,
                            message="ker omega is not one-dimensional")
         R = res.subspace.basis[:, 0]
-        lam_R = float(s.lam.eval_at(smp.point) @ R)
+        lam_R = float(lam @ R)
         if lam_R < 0:
             R, lam_R = -R, -lam_R
         if lam_R <= tau:
             return Verdict(FAIL, witness=smp.point,
                            message="lambda(R) not positive")
-        resid = np.linalg.norm(dlam.eval_at(smp.point) @ R)
+        resid = np.linalg.norm(dl @ R)
         if resid > max(tau, 100 * smp.h ** 2):
             return Verdict(FAIL, witness=smp.point,
                            message=f"iota_R d lambda = {resid:.2e}")
-        dres = np.linalg.norm(domega.eval_at(smp.point))
+        dres = np.linalg.norm(dw)
         if dres > 1000 * smp.h:
             return Verdict(FAIL, witness=smp.point,
                            message=f"omega not closed: {dres:.2e}")

@@ -27,7 +27,7 @@ from .confolcheck import (
     order_at, profile_constraints, shs_check, transversely_exact_check)
 from .approx import (
     DeformationFamily, PartitionedForm, StratumData, _family_top,
-    approx_verdict, conformal_limit, limit_inputs)
+    approx_verdict, conformal_limit, stratum_eta)
 from .grassmann import FormAlgebra, wedge_all
 
 
@@ -125,19 +125,28 @@ def _pts(*rows):
     return [PointSample(np.array(r, dtype=float)) for r in rows]
 
 
-def _exponent_agreement(fam, pf, j_range=(4, 16)):
+def _exponent_agreement(fam, pf, rep=None, j_range=(4, 16)):
     """Symbolic and numeric conformal limits must agree on the leading
-    exponent (and both pass) on every non-contact stratum."""
+    exponent (and both pass) on every non-contact stratum.  The symbolic
+    lane is item (b) of the ``approx_verdict`` report ``rep`` (computed when
+    not given); a stratum missing from it FAILs.  Only the numeric lane
+    runs here."""
+    if rep is None:
+        rep = approx_verdict(fam, pf)
     sub = {}
-    for lab, (k, samples, zeta, eta, _) in limit_inputs(fam, pf).items():
-        rep_s = conformal_limit({lab: zeta}, {lab: eta}, {lab: samples},
-                                chart=fam.chart, param=fam.param,
-                                order={lab: k})
-        rep_n = conformal_limit({lab: _family_top(fam, k)}, {lab: eta},
-                                {lab: samples}, chart=fam.chart,
-                                param=fam.param, order={lab: k},
-                                j_range=j_range)
-        ls, ln = rep_s.strata[lab], rep_n.strata[lab]
+    for lab, sd in pf.strata.items():
+        if 2 * sd.order + 3 > fam.chart.dim:
+            continue                    # contact stratum: no conformal limit
+        ls = rep.strata.get(lab)
+        if ls is None:
+            sub[lab] = Verdict(FAIL, message=f"stratum {lab}: no symbolic "
+                               "limit in item (b)")
+            continue
+        ln = conformal_limit({lab: _family_top(fam, sd.order)},
+                             {lab: stratum_eta(fam, sd)}, {lab: sd.samples},
+                             chart=fam.chart, param=fam.param,
+                             order={lab: sd.order}, j_range=j_range
+                             ).strata[lab]
         ok = (ls.status == PASS and ln.status == PASS
               and ls.exponent == ln.exponent)
         sub[lab] = _bool_verdict(ok, {"symbolic": ls.exponent,
@@ -478,7 +487,7 @@ def _build_r5_cubic(s_probe=0.25, seed=0):
         checks={"approx": lambda: report().verdict,
                 "factor": lambda: _factor_row(report().strata["C1"], 2.0,
                                               2.0e-9),
-                "exponents": lambda: _exponent_agreement(fam, pf)},
+                "exponents": lambda: _exponent_agreement(fam, pf, report())},
         notes=("the top form is (6*x1^2 + 2*s) vol, so the degenerate locus "
                "x1 = 0 carries conformal factor 1/(2s)",),
         seed=seed)
@@ -518,7 +527,7 @@ def _build_r5_flat(s_probe=0.25, seed=0):
         expected={"approx": FAIL, "failing-item": PASS, "exponents": PASS},
         checks={"approx": lambda: report().verdict,
                 "failing-item": failing_item_check,
-                "exponents": lambda: _exponent_agreement(fam, pf)},
+                "exponents": lambda: _exponent_agreement(fam, pf, report())},
         notes=("the proposed cone direction dx1^dx2 + dy1^dy2 pairs "
                "negatively with the volume: the compatibility polynomial has "
                "constant term -2",),
@@ -551,7 +560,7 @@ def _build_bm(lam_scale=1.0, seed=0):
         checks={"approx": lambda: report().verdict,
                 "factor": lambda: _factor_row(report().strata["foliation"],
                                               1.0, 1e-9),
-                "exponents": lambda: _exponent_agreement(fam, pf)},
+                "exponents": lambda: _exponent_agreement(fam, pf, report())},
         notes=("linear deformation of the closed-kernel foliation dz = 0 by "
                "the primitive x1 dy1 + x2 dy2; mu is its differential and "
                "the conformal factor is 1/s",),
@@ -690,7 +699,7 @@ def _build_mnw(n=1, k=1, seed=0):
                 "factor": lambda: _factor_row(report().strata["pages"], 1.0,
                                               1e-9),
                 "volume-identity": identity_check,
-                "exponents": lambda: _exponent_agreement(fam, pf)},
+                "exponents": lambda: _exponent_agreement(fam, pf, report())},
         notes=("coherent model: alpha_pm = +-e^(sum t) dth0 + sum e^(-ti) "
                "dthi; mu uses cos(k s) so the family stays invariant under "
                "the torus action",),
@@ -858,7 +867,7 @@ def _build_ob_deformation(delta=1.0, seed=0):
         checks={"profiles": profiles_check,
                 "approx": lambda: report().verdict,
                 "factors": factors_check,
-                "exponents": lambda: _exponent_agreement(fam, pf)},
+                "exponents": lambda: _exponent_agreement(fam, pf, report())},
         notes=("the deformation turns the page foliation region into contact "
                "turbulization; strata {g0 = 0} and {f0 = 0} carry different "
                "conformal weights",

@@ -17,12 +17,30 @@ bookkeeping; odd-degree generators square to zero, even-degree generators may
 repeat.  A relation set (the :class:`FormAlgebra`) fixes the generators, the
 declared differentials, optional top-degree truncation and optional per-block
 degree caps (forms pulled back from a factor of bounded dimension).
+
+A :class:`FormExpr` stores each coefficient as an element of its algebra's
+coefficient ring: a dict from exponent tuples to rationals over the atoms
+the algebra has met (symbols with rational exponents, ``f(r)`` and its
+derivatives, ``sin u``, ``cos u``, and ``exp m`` to rational powers, so
+``x * x**-1``, ``exp(x) * exp(-x)`` and ``exp(x)**2`` simplify as in sympy).
+Sums, wedges, ``d`` (the chain rule through a d(atom) table built once per
+atom) and contractions run in that ring; ``is_zero`` and ``equals`` decide
+there after ``sin^2 u -> 1 - cos^2 u``.  Coefficients become sympy
+expressions only at the edges, by ``as_expr``: ``terms``, ``coefficient``,
+``__str__``, ``subs``, ``map_coeffs`` and ``expand_in_param``; each is
+structurally equal to ``sp.expand`` of the coefficient.  A coefficient
+that uses an atom outside the fragment (a ``Float``, ``log x``,
+``1/(x+1)``) is stored as that ``sp.expand`` sympy expression instead, and
+its arithmetic, ``d`` and zero tests are sympy's, as before the ring; its
+equality queries stay :data:`UNDECIDED`.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import sympy as sp
 from sympy.core.function import AppliedUndef
@@ -118,17 +136,15 @@ def _args_entangled(e):
     disjoint symbols (or equal arguments) are algebraically independent over
     the polynomial ring, so False verdicts stay sound there.
     """
-    args = set()
-    for f in e.atoms(sp.Function):
-        if isinstance(f, AppliedUndef):
-            continue
-        args.add(sp.expand(f.args[0]))
-    args = [a for a in args if a.free_symbols]
-    for i in range(len(args)):
-        for j in range(i + 1, len(args)):
-            if args[i].free_symbols & args[j].free_symbols:
-                return True
-    return False
+    return _shares_symbol(sp.expand(f.args[0]) for f in e.atoms(sp.Function)
+                          if not isinstance(f, AppliedUndef))
+
+
+def _shares_symbol(args):
+    """True when two distinct arguments share a free symbol."""
+    args = [a for a in set(args) if a.free_symbols]
+    return any(a.free_symbols & b.free_symbols
+               for a, b in itertools.combinations(args, 2))
 
 
 def scalar_is_zero(expr):
@@ -227,6 +243,366 @@ class ScalarExpr:
 
 
 # --------------------------------------------------------------------------
+# the coefficient ring under FormExpr
+# --------------------------------------------------------------------------
+
+def _qq(q):
+    """A sympy Rational as an int or a Fraction."""
+    return q.p if q.q == 1 else Fraction(q.p, q.q)
+
+
+def _to_sympy(q):
+    return sp.Rational(q.numerator, q.denominator)
+
+
+def _mono_mul(a, b):
+    """Product of two monomials: exponent tuples without trailing zeros."""
+    if len(a) < len(b):
+        a, b = b, a
+    if not b:
+        return a
+    m = tuple(map(operator.add, a, b))
+    if len(b) < len(a):
+        return m + a[len(b):]
+    while m and not m[-1]:
+        m = m[:-1]
+    return m
+
+
+def _mono_set(m, i, k):
+    """``m`` with exponent ``k`` at generator ``i``."""
+    if i >= len(m):
+        m = m + (0,) * (i + 1 - len(m))
+    m = m[:i] + (k,) + m[i + 1:]
+    while m and not m[-1]:
+        m = m[:-1]
+    return m
+
+
+def _exp_of(m, i):
+    return m[i] if i < len(m) else 0
+
+
+class _Opaque(Exception):
+    """A sympy node outside the ring's atoms."""
+
+
+@dataclass(frozen=True)
+class _Atom:
+    """One generator of the coefficient ring."""
+
+    expr: sp.Basic            # the atom itself; exp(unit) for exponentials
+    unit: sp.Basic | None     # m for the exponential atoms exp(k*m), k in Q
+    trig: str | None          # "sin" / "cos"
+
+    def power(self, k):
+        k = _to_sympy(k)
+        return sp.exp(k * self.unit) if self.unit is not None \
+            else sp.Pow(self.expr, k)
+
+
+def _in_fragment(expr):
+    try:
+        _check_fragment(expr)
+    except UnsupportedScalar:
+        return False
+    return True
+
+
+class _CoeffRing:
+    """Polynomial ring over Q in the atoms an algebra has met so far.
+
+    An element is a dict {exponent tuple: int or Fraction} (zeros only while
+    an accumulator is being filled).  Atoms are declared and undeclared
+    symbols (with rational, possibly negative, exponents), formal functions
+    ``f(r)`` and their derivatives, ``sin u`` and ``cos u``, and the
+    exponentials: ``exp(k*m)`` is the atom ``exp(m)`` to the rational power
+    ``k``, so ``exp(x)*exp(-x) = 1`` and ``exp(x)**2 = exp(2x)`` hold as they
+    do in sympy.  Anything else (a ``Float``, ``log x``, ``1/(x+1)``,
+    ``sqrt(x+1)``, ``pi``) is opaque: a coefficient that uses it is stored as
+    the sympy expression ``sp.expand`` gives, and its sums, products,
+    derivatives and zero tests are sympy's, as before the ring.  (A ring
+    generator ``1/(x+1)`` would not cancel ``(x + 1) * 1/(x + 1)``, which
+    sympy's product does before expanding.)  ``as_expr`` of every stored
+    coefficient is structurally equal to ``sp.expand`` of the sympy
+    coefficient it replaces.
+    """
+
+    def __init__(self, alg):
+        self.alg = alg
+        self.atoms: list[_Atom] = []
+        self._index = {}      # symbol, atom or ("exp", m) -> generator
+        self._seen = {}       # sympy node met as an atom -> element, or None
+        self._d_atoms = {}    # generator -> {one-form key: coefficient}
+
+    # -- conversion from sympy ----------------------------------------------
+    def _gen(self, key, make):
+        i = self._index.get(key)
+        if i is None:
+            i = self._index[key] = len(self.atoms)
+            self.atoms.append(make())
+        return i
+
+    @staticmethod
+    def _power(i, k=1):
+        return {(0,) * i + (k,): 1}
+
+    def _symbol(self, x):
+        return self._gen(x, lambda: _Atom(x, None, None))
+
+    def _walk(self, e):
+        """e as a ring element; raises _Opaque on an atom outside the ring."""
+        if e.is_Rational:
+            return {(): _qq(e)} if e else {}
+        if e.is_Symbol:
+            return self._power(self._symbol(e))
+        if e.is_Add:
+            acc = {}
+            for a in e.args:
+                for m, v in self._walk(a).items():
+                    acc[m] = acc.get(m, 0) + v
+            return {m: v for m, v in acc.items() if v}
+        if e.is_Mul:
+            args = iter(e.args)
+            c = self._walk(next(args))
+            for a in args:
+                c = _product(c, self._walk(a))
+            return c
+        if e.is_Pow:
+            b, n = e.args
+            if n.is_Integer:
+                c, n = self._walk(b), int(n)
+                if len(c) == 1:
+                    (m, v), = c.items()
+                    v = Fraction(v) ** n if n < 0 else v ** n
+                    if v.denominator == 1:
+                        v = v.numerator
+                    return {tuple(k * n for k in m): v}
+                if n > 0:
+                    out = c
+                    for _ in range(n - 1):
+                        out = _product(out, c)
+                    return out
+            elif n.is_Rational and b.is_Symbol:
+                return self._power(self._symbol(b), _qq(n))
+        return self._atom(e)
+
+    def _atom(self, e):
+        if e not in self._seen:
+            self._seen[e] = self._new_atom(e)
+        c = self._seen[e]
+        if c is None:
+            raise _Opaque(e)
+        return c
+
+    def _new_atom(self, e):
+        """The element of a node ``_walk`` does not take apart (None when
+        it is opaque)."""
+        x = sp.expand(e)
+        if x != e:
+            try:
+                return self._walk(x)
+            except _Opaque:
+                return None
+        if not _in_fragment(x):
+            return None
+        if isinstance(x, sp.exp) or x is sp.E:
+            k, m = (x.args[0] if x is not sp.E else sp.S.One).as_coeff_Mul()
+            if k.is_Rational and m.free_symbols:
+                return self._power(
+                    self._gen(("exp", m), lambda: _Atom(sp.exp(m), m, None)),
+                    _qq(k))
+        trig = {sp.sin: "sin", sp.cos: "cos"}.get(x.func)
+        if trig is None and not isinstance(x, (AppliedUndef, sp.Derivative)):
+            return None
+        return self._power(self._gen(x, lambda: _Atom(x, None, trig)))
+
+    def from_expr(self, e):
+        """A sympy scalar as a ring element, or as ``sp.expand(e)`` when it
+        uses an opaque atom."""
+        e = sp.sympify(e)
+        try:
+            return self._walk(e)
+        except _Opaque:
+            return sp.expand(e)
+
+    def normal(self, c):
+        """Stored form of a FormExpr coefficient (sympy scalar or element)."""
+        if not isinstance(c, dict):
+            return self.from_expr(c)
+        if all(c.values()):
+            return c
+        return {m: v for m, v in c.items() if v}
+
+    # -- conversion to sympy (the edges) -------------------------------------
+    def as_expr(self, c):
+        if not isinstance(c, dict):
+            return c
+        atoms = self.atoms
+        return sp.Add(*[
+            sp.Mul(_to_sympy(v),
+                   *[atoms[i].power(k) for i, k in enumerate(m) if k])
+            for m, v in c.items()])
+
+    # -- arithmetic ------------------------------------------------------------
+    def plus(self, a, b):
+        if isinstance(a, dict) and isinstance(b, dict):
+            acc = dict(a)
+            for m, v in b.items():
+                acc[m] = acc.get(m, 0) + v
+            return acc
+        return self.as_expr(a) + self.as_expr(b)
+
+    def add_into(self, acc, key, c, sign):
+        """acc[key] += sign * c, in place (zeros are dropped by normal)."""
+        t = acc.get(key)
+        if isinstance(c, dict) and not isinstance(t, sp.Basic):
+            if t is None:
+                t = acc[key] = {}
+            for m, v in c.items():
+                t[m] = t.get(m, 0) + sign * v
+        else:
+            acc[key] = (0 if t is None else self.as_expr(t)) \
+                + sign * self.as_expr(c)
+
+    def addmul(self, acc, key, a, b, sign):
+        """acc[key] += sign * a * b, in place."""
+        if not (a and b):
+            return
+        t = acc.get(key)
+        if not (isinstance(a, dict) and isinstance(b, dict)) \
+                or isinstance(t, sp.Basic):
+            self.add_into(acc, key, self.as_expr(a) * self.as_expr(b), sign)
+            return
+        if t is None:
+            t = acc[key] = {}
+        bt = b.items()
+        for m1, v1 in a.items():
+            v1 = sign * v1
+            for m2, v2 in bt:
+                m = _mono_mul(m1, m2)
+                t[m] = t.get(m, 0) + v1 * v2
+
+    # -- exterior derivative of a coefficient ---------------------------------
+    def forget_differentials(self):
+        """Drop the d(atom) table after a new scalar differential."""
+        self._d_atoms.clear()
+
+    def _sympy_d(self, e):
+        """d of a sympy scalar by ``sp.diff``: {one-form key: coefficient}."""
+        acc = {}
+        for sym, df in self.alg.scalar_diffs:
+            part = sp.diff(e, sym)
+            if part != 0:
+                p = self.from_expr(part)
+                for k, v in df._terms.items():
+                    self.addmul(acc, k, p, v, 1)
+        return acc
+
+    def _d_atom(self, i):
+        """d(atom i) as {one-form key: coefficient}, once per atom."""
+        d = self._d_atoms.get(i)
+        if d is None:
+            d = {k: c for k, c in (
+                (k, self.normal(c))
+                for k, c in self._sympy_d(self.atoms[i].power(1)).items())
+                if c}
+            self._d_atoms[i] = d
+        return d
+
+    def differential(self, c):
+        """d(c) as {one-form key: coefficient}: the chain rule over the
+        atoms, or sympy's derivative for an opaque coefficient."""
+        if not isinstance(c, dict):
+            return self._sympy_d(c)
+        out = {}
+        partials = {}
+        for m, v in c.items():
+            for i, k in enumerate(m):
+                if k and self._d_atom(i):
+                    d = partials.setdefault(i, {})
+                    m2 = _mono_set(m, i, k - 1)
+                    d[m2] = d.get(m2, 0) + v * k
+        for i, p in partials.items():
+            for key, v in self._d_atom(i).items():
+                self.addmul(out, key, p, v, 1)
+        return out
+
+    # -- zero test ---------------------------------------------------------
+    def is_zero(self, c):
+        """True / False / UNDECIDED, as ``scalar_is_zero`` of ``as_expr(c)``.
+
+        A ring element whose transcendental arguments are pairwise unrelated
+        is tested exactly in the ring after ``sin^2 u -> 1 - cos^2 u``;
+        everything else takes ``scalar_is_zero``.
+        """
+        if not isinstance(c, dict):
+            return self._sympy_is_zero(c)
+        if not c:
+            return True
+        used = {}
+        for m in c:
+            for i, k in enumerate(m):
+                if k:
+                    used.setdefault(i, set()).add(k)
+        args = []
+        for i, ks in used.items():
+            a = self.atoms[i]
+            if a.trig:
+                args.append(a.expr.args[0])
+            elif a.unit is not None:
+                args.extend(_to_sympy(k) * a.unit for k in ks)
+        if _shares_symbol(args):
+            return self._sympy_is_zero(c)
+        terms = c
+        for i in used:
+            if terms and self.atoms[i].trig == "sin":
+                terms = self._reduce_sin(terms, i)
+        return not terms
+
+    def _sympy_is_zero(self, c):
+        try:
+            return scalar_is_zero(self.as_expr(c))
+        except UnsupportedScalar:
+            return UNDECIDED
+
+    def _reduce_sin(self, terms, i):
+        """Clear negative powers of atom i = sin u, then sin^2 -> 1 - cos^2."""
+        low = min(_exp_of(m, i) for m in terms)
+        if low < 0:
+            terms = {_mono_set(m, i, _exp_of(m, i) - low): v
+                     for m, v in terms.items()}
+        (jm, _), = self._atom(sp.cos(self.atoms[i].expr.args[0])).items()
+        j = len(jm) - 1
+        while any(_exp_of(m, i) >= 2 for m in terms):
+            out = {}
+            for m, v in terms.items():
+                k = _exp_of(m, i)
+                if k >= 2:
+                    m = _mono_set(m, i, k - 2)
+                    mc = _mono_set(m, j, _exp_of(m, j) + 2)
+                    out[mc] = out.get(mc, 0) - v
+                out[m] = out.get(m, 0) + v
+            terms = {m: v for m, v in out.items() if v}
+        return terms
+
+
+def _neg(a):
+    return {m: -v for m, v in a.items()} if isinstance(a, dict) else -a
+
+
+def _product(a, b):
+    """Ring product of two elements (no sympy)."""
+    acc = {}
+    bt = b.items()
+    for m1, v1 in a.items():
+        for m2, v2 in bt:
+            m = _mono_mul(m1, m2)
+            acc[m] = acc.get(m, 0) + v1 * v2
+    return {m: v for m, v in acc.items() if v}
+
+
+# --------------------------------------------------------------------------
 # generators and the relation set
 # --------------------------------------------------------------------------
 
@@ -255,6 +631,7 @@ class FormAlgebra:
         self.gens: list[FormGenerator] = []
         self._diffs: dict[int, "FormExpr | None"] = {}
         self.scalar_diffs: list[tuple[sp.Symbol, "FormExpr"]] = []
+        self.ring = _CoeffRing(self)
 
     # -- declarations ------------------------------------------------------
     def generator(self, name, degree, d=_UNDECLARED, block=None):
@@ -278,6 +655,7 @@ class FormAlgebra:
         else:
             if not isinstance(d, FormExpr):
                 raise TypeError("declared differential must be a FormExpr")
+            self.own(d)
             if d.degree() not in (degree + 1, None):
                 raise ValueError(f"d({name}) must have degree {degree + 1}")
             self._diffs[g.index] = d
@@ -294,12 +672,23 @@ class FormAlgebra:
             raise ValueError(f"duplicate coordinate {name}")
         dx = self.generator("d" + name, 1, d=None, block=block)
         self.scalar_diffs.append((x, dx))
+        self.ring.forget_differentials()
         return x, dx
 
     def scalar_differential(self, sym, form):
         """Declare d(sym) = form for an already-built one-form (e.g. d(phi1)
         equal to an abstract closed generator)."""
-        self.scalar_diffs.append((sp.sympify(sym), form))
+        self.scalar_diffs.append((sp.sympify(sym), self.own(form)))
+        self.ring.forget_differentials()
+
+    def own(self, form):
+        """``form``, checked to be a FormExpr of this algebra: a coefficient
+        indexes its own algebra's atoms, so forms of two algebras never mix."""
+        if not isinstance(form, FormExpr):
+            raise TypeError("expected FormExpr")
+        if form.alg is not self:
+            raise ValueError("forms live in different algebras")
+        return form
 
     # -- lookups -----------------------------------------------------------
     def form(self, name):
@@ -369,12 +758,14 @@ class FormExpr:
     __slots__ = ("alg", "_terms")
 
     def __init__(self, alg, terms):
+        ring = alg.ring
         clean = {}
         for key, c in terms.items():
-            c = sp.expand(c)
-            if c == 0 or not alg._monomial_ok(key):
+            if not alg._monomial_ok(key):
                 continue
-            clean[key] = c
+            c = ring.normal(c)
+            if c:
+                clean[key] = c
         object.__setattr__(self, "alg", alg)
         object.__setattr__(self, "_terms", clean)
 
@@ -384,7 +775,9 @@ class FormExpr:
     # -- structure ---------------------------------------------------------
     def terms(self):
         """Sorted (monomial-key, coefficient) pairs."""
-        return sorted(self._terms.items(), key=lambda kv: (len(kv[0]), kv[0]))
+        as_expr = self.alg.ring.as_expr
+        return sorted(((k, as_expr(c)) for k, c in self._terms.items()),
+                      key=lambda kv: (len(kv[0]), kv[0]))
 
     def degree(self):
         """Common degree of all monomials, or None if mixed/zero."""
@@ -394,43 +787,48 @@ class FormExpr:
     def coefficient(self, key):
         if isinstance(key, FormExpr):
             (key, c), = key._terms.items()
-            if c != 1:
+            if c != {(): 1}:
                 raise ValueError("coefficient() expects a bare monomial")
-        return self._terms.get(tuple(key), sp.Integer(0))
+        c = self._terms.get(tuple(key))
+        return sp.Integer(0) if c is None else self.alg.ring.as_expr(c)
 
     # -- linear operations -------------------------------------------------
-    def _check_same(self, other):
-        if not isinstance(other, FormExpr):
-            raise TypeError("expected FormExpr")
-        if other.alg is not self.alg:
-            raise ValueError("forms live in different algebras")
-
     def __add__(self, other):
-        self._check_same(other)
+        ring = self.alg.ring
+        self.alg.own(other)
         out = dict(self._terms)
         for k, c in other._terms.items():
-            out[k] = out.get(k, 0) + c
+            out[k] = ring.plus(out[k], c) if k in out else c
         return FormExpr(self.alg, out)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return FormExpr(self.alg, {k: -c for k, c in self._terms.items()})
+        return FormExpr(self.alg, {k: _neg(c) for k, c in self._terms.items()})
 
     def __mul__(self, c):
         c = c.expr if isinstance(c, ScalarExpr) else sp.sympify(c)
-        return FormExpr(self.alg, {k: c * v for k, v in self._terms.items()})
+        ring = self.alg.ring
+        s = ring.from_expr(c)
+        # an opaque side takes sympy's product with c as written, which may
+        # cancel before expanding: (x + 1) * 1/(x + 1) is 1
+        return FormExpr(self.alg, {
+            k: _product(s, v) if isinstance(s, dict) and isinstance(v, dict)
+            else c * ring.as_expr(v)
+            for k, v in self._terms.items()})
 
     __rmul__ = __mul__
 
     def map_coeffs(self, fn):
-        return FormExpr(self.alg, {k: fn(c) for k, c in self._terms.items()})
+        as_expr = self.alg.ring.as_expr
+        return FormExpr(self.alg, {k: fn(as_expr(c))
+                                   for k, c in self._terms.items()})
 
     def subs(self, mapping):
         """Substitute into every coefficient (stratum restriction, profile
         specialization, parameter pinning)."""
-        return self.map_coeffs(lambda c: sp.sympify(c).subs(mapping).doit())
+        return self.map_coeffs(lambda c: c.subs(mapping).doit())
 
     # -- graded multiplication ---------------------------------------------
     def _merge_keys(self, k1, k2):
@@ -463,14 +861,15 @@ class FormExpr:
         return tuple(out), sign
 
     def wedge(self, other):
-        self._check_same(other)
-        out = {}
+        alg = self.alg
+        alg.own(other)
+        acc = {}
         for k1, c1 in self._terms.items():
             for k2, c2 in other._terms.items():
                 key, s = self._merge_keys(k1, k2)
-                if s and self.alg._monomial_ok(key):
-                    out[key] = out.get(key, 0) + s * c1 * c2
-        return FormExpr(self.alg, out)
+                if s and alg._monomial_ok(key):
+                    alg.ring.addmul(acc, key, c1, c2, s)
+        return FormExpr(alg, acc)
 
     __xor__ = wedge
 
@@ -482,30 +881,37 @@ class FormExpr:
             r = r.wedge(self)
         return r
 
+    def _insert(self, acc, key, pos, terms, c, sign):
+        """acc += sign * c * (key[:pos] ^ terms ^ key[pos+1:])."""
+        left, right = key[:pos], key[pos + 1:]
+        for k, v in terms.items():
+            k2, s1 = self._merge_keys(left, k)
+            if not s1:
+                continue
+            k3, s2 = self._merge_keys(k2, right)
+            if s2 and self.alg._monomial_ok(k3):
+                self.alg.ring.addmul(acc, k3, v, c, sign * s1 * s2)
+
     # -- exterior derivative -----------------------------------------------
     def d(self):
         alg = self.alg
-        out = alg.zero()
+        ring = alg.ring
+        acc = {}
         for key, c in self._terms.items():
-            mono = FormExpr(alg, {key: sp.Integer(1)})
             # d(coeff) ∧ mono
-            dc = alg.zero()
-            for sym, df in alg.scalar_diffs:
-                part = sp.diff(c, sym)
-                if part != 0:
-                    dc = dc + df * part
-            out = out + dc.wedge(mono)
+            for k1, dc in ring.differential(c).items():
+                merged, s = self._merge_keys(k1, key)
+                if s and alg._monomial_ok(merged):
+                    ring.add_into(acc, merged, dc, s)
             # Leibniz over the generators of the monomial
             prefix_deg = 0
             for pos, gi in enumerate(key):
                 dgi = alg.d_of_gen(gi)
                 if dgi is not None:
-                    left = FormExpr(alg, {key[:pos]: sp.Integer(1)})
-                    right = FormExpr(alg, {key[pos + 1:]: sp.Integer(1)})
                     sign = -1 if prefix_deg % 2 else 1
-                    out = out + (left.wedge(dgi).wedge(right)) * (sign * c)
+                    self._insert(acc, key, pos, dgi._terms, c, sign)
                 prefix_deg += alg.gens[gi].degree
-        return out
+        return FormExpr(alg, acc)
 
     # -- contraction --------------------------------------------------------
     def contract(self, pairing):
@@ -520,27 +926,25 @@ class FormExpr:
         for name, val in pairing.items():
             g = alg.gen_named(name)
             if isinstance(val, FormExpr):
-                table[g.index] = val
+                table[g.index] = alg.own(val)._terms
             else:
                 v = val.expr if isinstance(val, ScalarExpr) else sp.sympify(val)
                 if g.degree == 1:
-                    table[g.index] = alg.scalar_form(v)
+                    table[g.index] = {(): alg.ring.from_expr(v)}
                 else:
                     raise TypeError(
                         f"pairing for degree-{g.degree} generator {name} "
                         "must be a FormExpr")
-        out = alg.zero()
+        acc = {}
         for key, c in self._terms.items():
             prefix_deg = 0
             for pos, gi in enumerate(key):
                 val = table.get(gi)
                 if val is not None:
-                    left = FormExpr(alg, {key[:pos]: sp.Integer(1)})
-                    right = FormExpr(alg, {key[pos + 1:]: sp.Integer(1)})
                     sign = -1 if prefix_deg % 2 else 1
-                    out = out + left.wedge(val).wedge(right) * (sign * c)
+                    self._insert(acc, key, pos, val, c, sign)
                 prefix_deg += alg.gens[gi].degree
-        return out
+        return FormExpr(alg, acc)
 
     # -- parameter expansion -------------------------------------------------
     def expand_in_param(self, p):
@@ -550,7 +954,7 @@ class FormExpr:
         p = sp.sympify(p)
         buckets: dict[int, dict] = {}
         for key, c in self._terms.items():
-            e = sp.expand(c)
+            e = self.alg.ring.as_expr(c)
             try:
                 poly = sp.Poly(e, p)
             except sp.PolynomialError as exc:
@@ -566,25 +970,23 @@ class FormExpr:
     def is_zero(self):
         verdict = True
         for c in self._terms.values():
-            try:
-                if not scalar_is_zero(c):
-                    return False
-            except UnsupportedScalar:
+            z = self.alg.ring.is_zero(c)
+            if z is False:
+                return False
+            if z is UNDECIDED:
                 verdict = UNDECIDED
         return verdict
 
     def equals(self, other):
         """Sound canonical equality: True/False inside the scalar fragment,
         UNDECIDED if any coefficient leaves it."""
-        self._check_same(other)
         return (self - other).is_zero()
 
     def __str__(self):
         if not self._terms:
             return "0"
         parts = []
-        for key, c in self.terms():
-            cs = str(sp.expand(c))
+        for key, cs in self.terms():
             mono = self.alg.monomial_str(key)
             if mono == "1":
                 parts.append(f"({cs})")

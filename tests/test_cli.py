@@ -4,6 +4,7 @@ the runner's exit-code contract, and report determinism."""
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -417,6 +418,31 @@ def test_vanishing_alpha_is_a_fail_verdict_not_a_traceback(tmp_path):
     verdict = checks[0]["detail"]["verdict"]
     assert len(verdict["witness"]) == 3
     assert "alpha vanishes" in verdict["message"]
+
+
+@pytest.mark.parametrize("kind, form", [("confoliation", "alpha"),
+                                        ("shs", "lambda")])
+def test_non_finite_coefficient_is_a_fail_verdict(tmp_path, kind, form):
+    # x^(1/2) is nan on the negative half of the default box
+    doc = tmp_path / "sqrt.cfl"
+    doc.write_text("chart x y z\n"
+                   "form a = dz + x^(1/2) * dy\n"
+                   "form W = dx ^ dy\n"
+                   f"check {kind} a W\n")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    r = subprocess.run([sys.executable, "-m", "confolkit.cli", str(doc),
+                        "--format", "json"],
+                       capture_output=True, text=True, env=env, timeout=300)
+    assert r.returncode == 1
+    assert "Traceback" not in r.stderr
+    assert not re.search(r"\bnan\b", r.stdout, re.IGNORECASE)
+    checks = json.loads(r.stdout)["checks"]
+    assert [e["status"] for e in checks] == [FAIL]
+    verdict = checks[0]["detail"]["verdict"]
+    assert len(verdict["witness"]) == 3 and verdict["witness"][0] < 0
+    assert verdict["message"] == f"{form} is not finite at the witness"
 
 
 def test_family_singular_at_the_base_is_a_diagnostic(tmp_path):

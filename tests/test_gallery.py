@@ -5,7 +5,7 @@ parameter jitter."""
 import numpy as np
 import pytest
 
-from confolkit import gallery
+from confolkit import approx, gallery
 from confolkit.conetame import FAIL, PASS
 from confolkit.confolcheck import SKIPPED
 
@@ -67,6 +67,40 @@ def test_rows_share_one_analysis_per_built_entry(name, monkeypatch):
     gallery.build(name).run()
     assert calls == {"approx_verdict": int(name in FAMILY_ENTRIES),
                      "blob_pointwise_check": int(name == "product-blob")}
+
+
+# family entries whose exponents row cross-checks item (b) of the report
+EXPONENT_ENTRIES = ("r5-cubic", "r5-flat-negative", "bertelson-meigniez-r5",
+                    "mnw-torus", "openbook-deformation")
+
+
+@pytest.mark.parametrize("name", EXPONENT_ENTRIES)
+def test_one_symbolic_limit_per_stratum_per_run(name, monkeypatch):
+    entry = gallery.build(name)
+    fam, pf = entry.structures["family"], entry.structures["partition"]
+    strata = [lab for lab, sd in pf.strata.items()
+              if 2 * sd.order + 3 <= fam.chart.dim]
+    calls = []
+
+    def counting(label, *args, _fn=approx._limit_symbolic):
+        calls.append(label)
+        return _fn(label, *args)
+    monkeypatch.setattr(approx, "_limit_symbolic", counting)
+    verdicts = entry.run_verdicts()
+    assert sorted(calls, key=str) == sorted(strata, key=str)
+    assert list(verdicts["exponents"].sub) == strata
+
+
+def test_exponents_row_fails_a_stratum_left_out_of_item_b():
+    # a non-contact stratum with no symbolic limit in the report is a FAIL,
+    # not a row that passes with nothing checked
+    entry = gallery.build("r5-cubic")
+    fam, pf = entry.structures["family"], entry.structures["partition"]
+    v = gallery._exponent_agreement(fam, pf, approx.ConformalLimitReport())
+    assert v.status == FAIL
+    assert list(v.sub) == ["C1"]
+    assert v.sub["C1"].status == FAIL
+    assert "no symbolic limit" in v.sub["C1"].message
 
 
 def test_entries_report_margins():

@@ -408,3 +408,227 @@ def test_d_matches_dict_expander(coord4, seed):
     got = w.d()
     want = _oracle_d(w, symbols, ["dx", "dy", "dz", "dw"], alg)
     assert got.equals(want) is True
+
+
+# ---------------------------------------------------------------------------
+# differential test: ring coefficients against plain sympy + sp.expand
+# ---------------------------------------------------------------------------
+
+def _ref_clean(terms):
+    out = {}
+    for k, c in terms.items():
+        c = sp.expand(c)
+        if c != 0:
+            out[k] = c
+    return out
+
+
+def _ref_add(A, B):
+    out = dict(A)
+    for k, c in B.items():
+        out[k] = out.get(k, 0) + c
+    return _ref_clean(out)
+
+
+def _ref_wedge(A, B):
+    """Wedge of one-form monomials by parity sort (no sorted merge)."""
+    out = {}
+    for k1, c1 in A.items():
+        for k2, c2 in B.items():
+            k, s = _parity_sort(k1 + k2)
+            if s:
+                out[k] = out.get(k, 0) + s * c1 * c2
+    return _ref_clean(out)
+
+
+def _ref_d(A, coords):
+    out = {}
+    for key, c in A.items():
+        for x, gi in coords:
+            k, s = _parity_sort((gi,) + key)
+            if s:
+                out[k] = out.get(k, 0) + s * sp.diff(c, x)
+    return _ref_clean(out)
+
+
+def _ref_contract(A, X):
+    out = {}
+    for key, c in A.items():
+        for pos, gi in enumerate(key):
+            if gi in X:
+                k = key[:pos] + key[pos + 1:]
+                out[k] = out.get(k, 0) + (-1) ** pos * X[gi] * c
+    return _ref_clean(out)
+
+
+def _ref_is_zero(A):
+    verdict = True
+    for c in A.values():
+        try:
+            if not scalar_is_zero(c):
+                return False
+        except UnsupportedScalar:
+            verdict = UNDECIDED
+    return verdict
+
+
+def _ring_scalar(rng, syms, f):
+    """Random sum of products of ring atoms with rational coefficients."""
+    x, y, z, a = syms
+
+    def poly():
+        pool = [x, y, z, a, x * y, y * z, sp.Integer(1)]
+        pick = rng.choice(len(pool), size=int(rng.integers(1, 3)),
+                          replace=False)
+        e = sum(int(rng.integers(1, 3)) * (-1) ** int(rng.integers(0, 2))
+                * pool[i] for i in pick)
+        return e if e.free_symbols else x
+
+    atoms = [
+        lambda: syms[int(rng.integers(0, 4))],
+        lambda: f,
+        lambda: sp.diff(f, x),
+        lambda: sp.sin(poly()),
+        lambda: sp.cos(poly()),
+        lambda: sp.exp(poly()),
+        lambda: syms[int(rng.integers(0, 3))] ** -int(rng.integers(1, 3)),
+        lambda: poly() ** 2,
+    ]
+    e = sp.Integer(0)
+    for _ in range(int(rng.integers(1, 3))):
+        term = sp.Rational(int(rng.integers(1, 4)) * (-1) ** int(rng.integers(0, 2)),
+                           int(rng.integers(1, 3)))
+        for _ in range(int(rng.integers(1, 3))):
+            term *= atoms[int(rng.integers(0, len(atoms)))]()
+        e += term
+    return e
+
+
+@pytest.fixture(scope="module")
+def ring_setup():
+    alg = FormAlgebra()
+    coords = [alg.coordinate(n) for n in "xyz"]
+    syms = [c for c, _ in coords] + [sp.Symbol("a")]
+    f = sp.Function("f")(syms[0])
+    return alg, syms, f
+
+
+def _ring_form(alg, rng, degree, syms, f):
+    keys = list(itertools.combinations(range(3), degree))
+    pick = rng.choice(len(keys), size=int(rng.integers(1, len(keys) + 1)),
+                      replace=False)
+    return {keys[i]: _ring_scalar(rng, syms, f) for i in pick}
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_ring_matches_sympy_expand(ring_setup, seed):
+    alg, syms, f = ring_setup
+    rng = np.random.default_rng(seed)
+    raw_a = _ring_form(alg, rng, 1, syms, f)
+    raw_b = _ring_form(alg, rng, int(rng.integers(1, 3)), syms, f)
+    A, B = FormExpr(alg, raw_a), FormExpr(alg, raw_b)
+    ra, rb = _ref_clean(raw_a), _ref_clean(raw_b)
+    coords = [(s, i) for i, s in enumerate(syms[:3])]
+    X = {i: _ring_scalar(rng, syms, f) for i in range(3)
+         if rng.integers(0, 2)}
+    k = _ring_scalar(rng, syms, f)
+    cases = [
+        (A, ra), (B, rb),
+        (A + B, _ref_add(ra, rb)),
+        (A - A, {}),
+        (A * k, _ref_clean({key: k * c for key, c in ra.items()})),
+        (A ^ B, _ref_wedge(ra, rb)),
+        (A.d(), _ref_d(ra, coords)),
+        ((A ^ B).d(), _ref_d(_ref_wedge(ra, rb), coords)),
+        ((A ^ B).contract({f"d{'xyz'[i]}": v for i, v in X.items()}),
+         _ref_contract(_ref_wedge(ra, rb), X)),
+    ]
+    for got, want in cases:
+        assert dict(got.terms()) == want
+    for got, want in cases[4:6]:
+        assert got.is_zero() is _ref_is_zero(want)
+    # the one trig rewrite: a multiple of sin^2 u + cos^2 u - 1 is zero
+    u = syms[int(rng.integers(0, 4))]
+    c = _ring_scalar(rng, syms, f) * (sp.sin(u) ** 2 + sp.cos(u) ** 2 - 1)
+    assert alg.scalar_form(c).is_zero() is _ref_is_zero(_ref_clean({(): c}))
+
+
+def test_ring_named_coefficients():
+    alg = FormAlgebra()
+    x, dx = alg.coordinate("x")
+    y, dy = alg.coordinate("y")
+    u = sp.Symbol("u")
+    # products formed inside the ring, compared with sp.expand
+    assert ((dx * sp.exp(x)) * sp.exp(-x)).coefficient(dx) == 1
+    assert (alg.scalar_form(sp.exp(x)) ^ (dx * sp.exp(x))).coefficient(dx) \
+        == sp.exp(2 * x)
+    w = (dx * (x + 1)) * (1 / y)
+    assert w.coefficient(dx) == sp.expand((x + 1) / y) == x / y + 1 / y
+    trig = alg.scalar_form(sp.sin(u) ** 2) + alg.scalar_form(sp.cos(u) ** 2)
+    assert trig.coefficient(()) == sp.sin(u) ** 2 + sp.cos(u) ** 2
+    assert (trig - alg.scalar_form(1)).is_zero() is True
+    assert trig.equals(alg.scalar_form(1)) is True
+    inv = sp.sin(u) ** -2 - 1 - sp.cos(u) ** 2 * sp.sin(u) ** -2
+    assert alg.scalar_form(inv).is_zero() is True
+    # outside the fragment: exact coefficients, undecided zero tests
+    lg = dy * sp.log(x)
+    assert lg.is_zero() is UNDECIDED
+    assert lg.d().coefficient(dx ^ dy) == 1 / x
+    fl = dx * (sp.Float(0.5) * x) + dx * (sp.Float(0.25) * x)
+    assert fl.coefficient(dx) == sp.expand(sp.Float(0.75) * x)
+    assert fl.is_zero() is UNDECIDED
+    two = alg.scalar_form(2)
+    assert ((two ^ (dx * (sp.Float(0.25) * x))) - dx * (sp.Float(0.5) * x)) \
+        .terms() == []
+    for w in (dx * sp.sin(1 / x), dx * sp.Function("g")(x + y)):
+        assert w.is_zero() is UNDECIDED
+    # sympy cancels (x+1) * 1/(x+1) before expanding; so does the ring
+    for w in ((dx * (x + 1)) * (1 / (x + 1)),
+              alg.scalar_form(1 / (x + 1)) ^ (dx * (x + 1))):
+        assert w.coefficient(dx) == 1
+    # a scalar factor cancels as written, before it is expanded
+    assert ((dx * (1 / (x + 1))) * (x + 1) ** 2).coefficient(dx) == x + 1
+
+
+def test_forms_of_two_algebras_never_mix():
+    # each algebra's coefficients index its own atoms: a form of another
+    # algebra is refused wherever it can enter, not read with the wrong atoms
+    alg, other = FormAlgebra(), FormAlgebra()
+    x, dx = alg.coordinate("x")
+    y, dy = other.coordinate("y")
+    w = dy * sp.exp(y)
+    for use in (lambda: dx + w, lambda: dx ^ w, lambda: dx.equals(w),
+                lambda: dx.contract({"dx": w}),
+                lambda: alg.generator("g", 0, d=w),
+                lambda: alg.scalar_differential(sp.Symbol("t"), w)):
+        with pytest.raises(ValueError, match="different algebras"):
+            use()
+    assert dx.contract({"dx": 1}).coefficient(()) == 1
+
+
+def test_ring_parameter_in_a_denominator_through_the_parser():
+    from confolkit import cli
+    doc = cli.parse("chart x y z\nparam s\nform alpha = dz + x/s * dy\n")
+    alpha = doc.forms["alpha"]
+    s, x = sp.Symbol("s"), sp.Symbol("x")
+    assert dict(alpha.terms())[(doc.algebra.gen_named("dy").index,)] \
+        == sp.expand(x / s) == x / s
+    assert str(alpha) == "(x/s)·dy + (1)·dz"
+
+
+@pytest.mark.parametrize("name", ["cubic_family", "flat_family",
+                                  "solid_torus"])
+def test_demo_tables_are_expanded(name):
+    from pathlib import Path
+
+    from confolkit import cli
+    root = Path(__file__).resolve().parents[1]
+    doc = cli.parse((root / "demos" / f"{name}.cfl").read_text())
+    tables = [t for *_, t in doc.extends]
+    tables += [t for entry in doc.checks for t in entry
+               if isinstance(t, dict)]
+    assert tables
+    for table in tables:
+        for e in table.values():
+            assert e == sp.expand(e)
