@@ -546,8 +546,6 @@ def _q_coeffs(c: ConfoliationData, sd: StratumData, n):
             f = beta_k.wedge(c.h.dalpha.wedge_power(b)).wedge(
                 c.mu.wedge_power(a))
             if m:
-                if sd.mu is None:
-                    raise ValueError(f"stratum of order {k} has no mu")
                 f = f.wedge(sd.mu.wedge_power(m))
             coef = math.factorial(i) // (math.factorial(a) *
                                          math.factorial(b) * math.factorial(m))
@@ -607,7 +605,9 @@ def compat_check(c: ConfoliationData, pf: PartitionedForm, tau=None) -> Verdict:
     top = tuple(range(chart.dim))
     sub = {}
     for lab, sd in pf.strata.items():
-        _stratum_mu(chart, sd)
+        if _stratum_mu(chart, sd) is None and sd.order < n:
+            sub[lab] = Verdict(FAIL, message=f"stratum {lab} missing mu")
+            continue
         fields = _q_coeffs(c, sd, n)
         worst, wit, statuses = np.inf, None, []
         for smp in sd.samples:
@@ -647,16 +647,33 @@ def approx_verdict(fam: DeformationFamily, pf: PartitionedForm, samples=None,
     Strata come from ``pf`` (caller-labeled; thin strata carry hand-placed
     samples since random points never land on them).  ``samples`` are pooled
     generic points for the contact spot-check; defaults to a seeded grid.
+    A family with a nan or infinite coefficient at one of these points or a
+    stratum sample (at s = 0, ``s_probe`` or a rung of item 1's ladder)
+    FAILs at once, with the first such point as witness.
     """
     chart, n = fam.chart, fam.n
     if samples is None:
         density = max(2, int(round(200 ** (1.0 / chart.dim))))
         samples = sample_grid(chart, density, seed, margin=0.05)[:24]
-    sub = {}
+    rungs = [fam.alpha_of(s) for s in (2.0 ** -4, 2.0 ** -8, 2.0 ** -12)]
+    h_probe = fam.hyperplane_at(s_probe)
 
+    # components of the base, the probe and each rung at every point; a nan
+    # or infinite one would turn every margin below into nan
+    points = [smp.point for smp in samples] + [
+        smp.point for sd in pf.strata.values() for smp in sd.samples]
+    comps = [[_comp_vec(f, p) for p in points]
+             for f in [fam.base.h.alpha, h_probe.alpha] + rungs]
+    for i, p in enumerate(points):
+        if not all(np.isfinite(c[i][0]).all() for c in comps):
+            rep = ConformalLimitReport(status=FAIL)
+            rep.verdict = Verdict(FAIL, {}, p,
+                                  "alpha is not finite at the witness")
+            return rep
+
+    sub = {}
     sub["base"] = fam.base_consistency(samples, tau=max(tau, 1e-9))
 
-    h_probe = fam.hyperplane_at(s_probe)
     bad = [s.point for s in samples
            if order_at(h_probe, s.point, fam.base.tau_rank).k != n]
     sub["contact"] = Verdict(PASS if not bad else FAIL,
@@ -665,12 +682,8 @@ def approx_verdict(fam: DeformationFamily, pf: PartitionedForm, samples=None,
                              f"order_at == n at s={s_probe}")
 
     # item 1: hyperplane convergence measured along a short ladder
-    angles = []
-    for s in (2.0 ** -4, 2.0 ** -8, 2.0 ** -12):
-        a_s = fam.alpha_of(s)
-        angles.append(max(_misalignment(_comp_vec(a_s, smp.point),
-                                        _comp_vec(fam.base.h.alpha, smp.point))
-                          for smp in samples))
+    m = len(samples)
+    angles = [max(map(_misalignment, c[:m], comps[0][:m])) for c in comps[2:]]
     ok = angles[-1] <= 1e-3 and angles[-1] <= angles[0] + 1e-12
     sub["item1"] = Verdict(PASS if ok and sub["base"] else FAIL,
                            {"angles": angles}, None,

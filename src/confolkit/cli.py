@@ -47,7 +47,6 @@ from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
 import numpy as np
-import scipy.optimize
 import sympy as sp
 from sympy.core.function import AppliedUndef
 
@@ -796,9 +795,74 @@ def _chart_samples(chart, flags):
                         flags.fd_step) for p in pts[:flags.samples]]
 
 
+def _nelder_mead(f, x0, xatol, fatol, maxiter):
+    """Minimize f from x0 by the downhill simplex; returns (best point, its
+    value).
+
+    A step-for-step port of scipy.optimize.minimize(method="Nelder-Mead")
+    with its defaults otherwise (no bounds, the non-adaptive coefficients
+    reflection 1, expansion 2, contraction and shrink 1/2, no cap on
+    evaluations), so from the same start it returns the same point.
+    """
+    x0 = np.asarray(x0, dtype=float)
+    n = len(x0)
+    sim = np.empty((n + 1, n))
+    sim[0] = x0
+    for k in range(n):
+        y = np.array(x0, copy=True)
+        y[k] = 1.05 * y[k] if y[k] != 0 else 0.00025
+        sim[k + 1] = y
+    fsim = np.array([f(np.copy(x)) for x in sim], dtype=float)
+    # sorted twice as scipy does: argsort's default kind is not stable, so
+    # the second pass may reorder tied values
+    for _ in range(2):
+        ind = np.argsort(fsim)
+        sim, fsim = np.take(sim, ind, 0), np.take(fsim, ind, 0)
+
+    iterations = 1
+    while iterations < maxiter:
+        if (np.max(np.abs(sim[1:] - sim[0])) <= xatol
+                and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol):
+            break
+        xbar = np.add.reduce(sim[:-1], 0) / n
+        xr = 2 * xbar - sim[-1]                       # reflection
+        fxr = f(np.copy(xr))
+        shrink = False
+        if fxr < fsim[0]:
+            xe = 3 * xbar - 2 * sim[-1]               # expansion
+            fxe = f(np.copy(xe))
+            sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+        elif fxr < fsim[-2]:
+            sim[-1], fsim[-1] = xr, fxr
+        elif fxr < fsim[-1]:
+            xc = 1.5 * xbar - 0.5 * sim[-1]           # outside contraction
+            fxc = f(np.copy(xc))
+            if fxc <= fxr:
+                sim[-1], fsim[-1] = xc, fxc
+            else:
+                shrink = True
+        else:
+            xcc = 0.5 * xbar + 0.5 * sim[-1]          # inside contraction
+            fxcc = f(np.copy(xcc))
+            if fxcc < fsim[-1]:
+                sim[-1], fsim[-1] = xcc, fxcc
+            else:
+                shrink = True
+        if shrink:
+            for j in range(1, n + 1):
+                sim[j] = sim[0] + 0.5 * (sim[j] - sim[0])
+                fsim[j] = f(np.copy(sim[j]))
+        iterations += 1
+        ind = np.argsort(fsim)
+        sim, fsim = np.take(sim, ind, 0), np.take(fsim, ind, 0)
+    return sim[0], float(fsim[0])
+
+
 def _locate_stratum(chart, base_h, order, flags, limit=6):
     """Points where the base degenerates to the given order, found by
-    driving |beta ^ dbeta^(order+1)|^2 to zero from seeded starts."""
+    driving |beta ^ dbeta^(order+1)|^2 to zero from seeded starts.
+
+    Returns (points, the smallest value of that square reached)."""
     top = table_top(chart, base_h.symbolic_table, order)
     fld = table_to_field(chart, top)
     lo = np.array([b[0] for b in chart.box])
@@ -809,13 +873,13 @@ def _locate_stratum(chart, base_h, order, flags, limit=6):
         x = np.clip(x, lo + pad, hi - pad)
         return sum(v * v for v in fld.components(x).values())
 
-    found = []
+    found, reached = [], math.inf
     for smp in sample_grid(chart, 3, flags.seed + 17 * order,
                            margin=0.1)[:20]:
-        res = scipy.optimize.minimize(
-            g, smp.point, method="Nelder-Mead",
-            options={"xatol": 1e-12, "fatol": 1e-24, "maxiter": 4000})
-        q = np.clip(res.x, lo + pad, hi - pad)
+        x, fx = _nelder_mead(g, smp.point, xatol=1e-12, fatol=1e-24,
+                             maxiter=4000)
+        reached = min(reached, fx)
+        q = np.clip(x, lo + pad, hi - pad)
         if order_at(base_h, q, flags.tol_rank).k != order:
             continue
         if any(np.linalg.norm(q - f.point) < 1e-3 for f in found):
@@ -824,7 +888,7 @@ def _locate_stratum(chart, base_h, order, flags, limit=6):
                                  flags.fd_step))
         if len(found) >= limit:
             break
-    return found
+    return found, reached
 
 
 def _run_approx(doc, entry, flags):
@@ -832,16 +896,21 @@ def _run_approx(doc, entry, flags):
     fam = DeformationFamily.from_table(
         doc.chart, tab_a, tab_b, param=par,
         tau_rank=flags.tol_rank, tau_pos=flags.tol_pos)
-    strata, missing = {}, []
+    strata, missing, reached = {}, [], {}
     for _, order, table in doc.extends:
-        pts = _locate_stratum(doc.chart, fam.base.h, order, flags)
+        pts, reached[order] = _locate_stratum(doc.chart, fam.base.h, order,
+                                              flags)
         if not pts:
             missing.append(order)
             continue
         strata[order] = StratumData(order=order, samples=pts,
                                     mu_table=table)
     if missing:
-        return Verdict(UNDETERMINED, {},
+        # the band: how close the search came to beta ^ dbeta^(k+1) = 0
+        # against the rank tolerance that decides the order
+        return Verdict(UNDETERMINED,
+                       {"tau_rank": flags.tol_rank,
+                        "min_top_norm_sq": {k: reached[k] for k in missing}},
                        message=f"could not locate points on strata "
                                f"{missing}"), None
     pf = PartitionedForm(strata)
@@ -990,6 +1059,8 @@ def _witness_line(verdict):
                          None)
             if w is not None:
                 return f"witness ({label}): {_plain(w)}"
+    if verdict.status == FAIL and verdict.witness is not None:
+        return f"witness: {_plain(verdict.witness)}"
     return None
 
 

@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
-import scipy.linalg
 
 from confolkit.chartfield import DEFAULT_TAU_POS, DEFAULT_TAU_RANK
 
@@ -146,6 +145,51 @@ def kernel_with_tol(m, tau_rank=DEFAULT_TAU_RANK):
                     f"(sigma around cut: {s[max(0, rank-1):rank+1]})")
     null = Vt[rank:].T
     return KernelResult(PASS, BasedSubspace(n, null), rank, s)
+
+
+def _svd_rank(s, shape, rcond=None):
+    """Number of singular values above ``max(s) * rcond``; ``rcond``
+    defaults to ``eps * max(shape)``, the cut scipy.linalg makes."""
+    if rcond is None:
+        rcond = np.finfo(s.dtype).eps * max(shape)
+    return int(np.sum(s > np.amax(s, initial=0.) * rcond))
+
+
+def null_space(A, rcond=None):
+    """Orthonormal basis (columns) of the null space of A, from a full SVD,
+    with scipy.linalg.null_space's rank cut."""
+    _, s, vh = np.linalg.svd(A, full_matrices=True)
+    return vh[_svd_rank(s, A.shape, rcond):].T
+
+
+def _orth(A):
+    """Orthonormal basis (columns) of the column space of A."""
+    u, s, _ = np.linalg.svd(A, full_matrices=False)
+    return u[:, :_svd_rank(s, A.shape)]
+
+
+def _subspace_angles(A, B):
+    """Principal angles between the column spaces of A and B, largest first.
+
+    Knyazev and Argentati's method as scipy.linalg.subspace_angles runs it:
+    the cosines are the singular values of QA^T QB, and where a cosine has
+    sigma^2 >= 1/2 (a small angle, where arccos loses digits) the angle is
+    the arcsine of a singular value of the residual projection instead.
+    """
+    QA, QB = _orth(A), _orth(B)
+    QA_H_QB = QA.T @ QB
+    sigma = np.linalg.svd(QA_H_QB, compute_uv=False)
+    if QA.shape[1] >= QB.shape[1]:
+        R = QB - QA @ QA_H_QB
+    else:
+        R = QA - QB @ QA_H_QB.T
+    mask = sigma ** 2 >= 0.5
+    if mask.any():
+        mu_arcsin = np.arcsin(np.clip(np.linalg.svd(R, compute_uv=False),
+                                      -1., 1.))
+    else:
+        mu_arcsin = 0.
+    return np.where(mask, mu_arcsin, np.arccos(np.clip(sigma[::-1], -1., 1.)))
 
 
 def pfaffian(m):
@@ -444,7 +488,7 @@ def taming_check(omega, J, K_ref=None, tau_pos=DEFAULT_TAU_POS,
                                      f"reference {K.shape[1]}")
     if K.shape[1] == 0:
         return TamingVerdict(PASS, w, null_basis=null, angles=np.zeros(0))
-    angles = scipy.linalg.subspace_angles(null, K)
+    angles = _subspace_angles(null, K)
     if np.max(angles) > tau_angle:
         return TamingVerdict(FAIL, w, null_basis=null, angles=angles,
                              message=f"null space misses reference subspace "
@@ -619,7 +663,7 @@ def mu_orthogonal_complement(mu, K: BasedSubspace):
     if K.dim == 0:
         return BasedSubspace(len(mu), np.eye(len(mu)))
     C = (mu @ K.basis).T        # constraints: rows are mu(., k)
-    null = scipy.linalg.null_space(C)
+    null = null_space(C)
     return BasedSubspace(len(mu), null)
 
 
@@ -656,7 +700,9 @@ def split_cotamed_J(pair: SkewPair, K: BasedSubspace, g=None, seed=0,
                 return None, UNDETERMINED
     if K.dim:
         J_K = compatible_J(mu_K, None if g is None else K.restrict(g))
-        blocks = scipy.linalg.block_diag(J_nu.J, J_K.J)
+        a, b = len(J_nu.J), len(J_K.J)
+        blocks = np.block([[J_nu.J, np.zeros((a, b))],
+                           [np.zeros((b, a)), J_K.J]])
     else:
         blocks = J_nu.J
     B = np.hstack([nu.basis] + ([K.basis] if K.dim else []))

@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 import sympy as sp
 
 from confolkit.chartfield import (
@@ -35,6 +34,7 @@ from confolkit.conetame import (
     BasedSubspace,
     SkewPair,
     kernel_with_tol,
+    null_space,
     pencil_positive,
     pfaffian,
 )
@@ -127,7 +127,7 @@ class HyperplaneField:
         well-defined.
         """
         a = self.alpha_at(p)
-        B = scipy.linalg.null_space(a[None, :])
+        B = null_space(a[None, :])
         if np.linalg.det(np.column_stack([a] + [B[:, i] for i in range(B.shape[1])])) < 0:
             B = B.copy()
             B[:, 0] = -B[:, 0]
@@ -920,7 +920,7 @@ def _subspace_intersection(A, B, tol=1e-9):
     """Orthonormal basis of span(A) `cap` span(B)."""
     if A.shape[1] == 0 or B.shape[1] == 0:
         return np.zeros((A.shape[0], 0))
-    N = scipy.linalg.null_space(np.hstack([A, -B]), rcond=tol)
+    N = null_space(np.hstack([A, -B]), rcond=tol)
     if N.shape[1] == 0:
         return np.zeros((A.shape[0], 0))
     X = A @ N[:A.shape[1], :]

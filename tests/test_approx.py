@@ -1,6 +1,7 @@
 """Deformation analyzer tests: table algebra, practical contractions,
 conformal limits on both paths, bivariate compatibility, full bundles."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -377,6 +378,21 @@ def test_approx_verdict_flat_fails_at_item_c():
     for key in ("base", "contact", "item1", "item_a", "item_b"):
         assert rep.verdict.sub[key].status == PASS
     assert "item (c)" in rep.verdict.message
+
+
+def test_stratum_without_mu_fails_item_c():
+    entry = gallery.build("r5-cubic")
+    fam, pf = entry.structures["family"], entry.structures["partition"]
+    bare = PartitionedForm(dict(pf.strata))
+    bare.strata["C1"] = dataclasses.replace(pf.strata["C1"], mu=None,
+                                            mu_table=None)
+    rep = approx_verdict(fam, bare)
+    assert rep.verdict.status == FAIL
+    for key in ("item_a", "item_c"):
+        item = rep.verdict.sub[key]
+        assert item.status == FAIL
+        assert item.sub["C1"].message == "stratum C1 missing mu"
+    assert rep.verdict.sub["item_c"].sub["C0"].status == PASS
 
 
 def test_approx_reparameterization_invariance():

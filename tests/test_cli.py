@@ -9,9 +9,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+import scipy.optimize
 
 from confolkit import cli, gallery
+from confolkit.approx import DeformationFamily
+from confolkit.confolcheck import HyperplaneField
 from confolkit.cli import CflError, default_flags, main, parse, print_document, run
 from confolkit.conetame import FAIL, PASS, UNDETERMINED
 
@@ -445,6 +449,31 @@ def test_non_finite_coefficient_is_a_fail_verdict(tmp_path, kind, form):
     assert verdict["message"] == f"{form} is not finite at the witness"
 
 
+def test_non_finite_family_coefficient_is_a_fail_verdict(tmp_path):
+    # s * x^(1/2) is nan on the negative half of the box for every s > 0
+    doc = tmp_path / "sqrt_family.cfl"
+    doc.write_text("chart x y z\n"
+                   "param s\n"
+                   "form a = dz + s * x^(1/2) * dy\n"
+                   "form W = dx ^ dy\n"
+                   "extend mu on stratum 0 = dx ^ dy\n"
+                   "check approx a W\n")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    r = subprocess.run([sys.executable, "-m", "confolkit.cli", str(doc),
+                        "--format", "json"],
+                       capture_output=True, text=True, env=env, timeout=300)
+    assert r.returncode == 1
+    assert "Traceback" not in r.stderr
+    assert not re.search(r"\bnan\b", r.stdout, re.IGNORECASE)
+    checks = json.loads(r.stdout)["checks"]
+    assert [e["status"] for e in checks] == [FAIL]
+    verdict = checks[0]["detail"]["verdict"]
+    assert len(verdict["witness"]) == 3 and verdict["witness"][0] < 0
+    assert verdict["message"] == "alpha is not finite at the witness"
+
+
 def test_family_singular_at_the_base_is_a_diagnostic(tmp_path):
     doc = tmp_path / "singular.cfl"
     doc.write_text("chart x y z\n"
@@ -468,6 +497,82 @@ def test_unlocatable_stratum_gives_undetermined_exit_2():
     assert rep.exit_code == 2
     assert rep.entries[0]["status"] == UNDETERMINED
     assert "could not locate" in rep.entries[0]["message"]
+
+
+def test_unlocatable_stratum_reports_its_band():
+    # beta ^ dbeta = dz ^ dr ^ dt for this base, so the search bottoms out
+    # at |beta ^ dbeta|^2 = 1 everywhere
+    rep = run(parse(GHOST_STRATUM_DOC))
+    assert rep.entries[0]["detail"]["verdict"]["margins"] == {
+        "tau_rank": 1e-7, "min_top_norm_sq": {"0": 1.0}}
+
+
+def _stratum_searches(name, monkeypatch):
+    """Every (objective, start) the stratum search of a bench document
+    hands to the minimizer, all 20 seeded starts per stratum."""
+    calls = []
+    real = cli._nelder_mead
+
+    def spy(f, x0, **kw):
+        calls.append((f, np.copy(x0)))
+        return real(f, x0, **kw)
+
+    monkeypatch.setattr(cli, "_nelder_mead", spy)
+    path = Path(__file__).resolve().parents[1] / "bench" / "inputs" / name
+    doc = parse(path.read_text())
+    flags = default_flags()
+    for entry in doc.checks:
+        if entry[0] == "approx":
+            _, _, tab_a, tab_b, par = entry
+            base = DeformationFamily.from_table(doc.chart, tab_a, tab_b,
+                                                param=par).base.h
+            orders = [order for _, order, _ in doc.extends]
+        elif entry[0] == "confoliation":
+            # no strata declared here: search for where alpha ^ dalpha
+            # vanishes, which drives the simplex onto the chart's clip
+            base = HyperplaneField.from_symbolic(doc.chart, entry[2])
+            orders = [0]
+        else:
+            continue
+        for order in orders:
+            cli._locate_stratum(doc.chart, base, order, flags, limit=21)
+    return calls
+
+
+@pytest.mark.parametrize("name", ["cubic_family.cfl", "flat_family.cfl",
+                                  "solid_torus.cfl"])
+def test_nelder_mead_matches_scipy_bitwise(name, monkeypatch):
+    calls = _stratum_searches(name, monkeypatch)
+    assert len(calls) % 20 == 0 and calls
+    f0, x0 = calls[0]
+    x0 = x0.copy()
+    x0[0] = 0.0                   # a zero coordinate takes the 0.00025 step
+    for f, x0 in calls + [(f0, x0)]:
+        x, fx = cli._nelder_mead(f, x0, xatol=1e-12, fatol=1e-24,
+                                 maxiter=4000)
+        ref = scipy.optimize.minimize(
+            f, x0, method="Nelder-Mead",
+            options={"xatol": 1e-12, "fatol": 1e-24, "maxiter": 4000})
+        assert x.tobytes() == ref.x.tobytes()
+        assert fx == ref.fun
+
+
+def test_runtime_imports_no_scipy():
+    bench_doc = (Path(__file__).resolve().parents[1] / "bench" / "inputs"
+                 / "cubic_family.cfl")
+    code = ("import sys\n"
+            "import confolkit.cli as cli\n"
+            "assert cli.main(['--selftest']) == 0\n"
+            f"assert cli.main([{str(bench_doc)!r}]) == 0\n"
+            "print(sorted(m for m in sys.modules\n"
+            "             if m == 'scipy' or m.startswith('scipy.')))\n")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                       text=True, env=env, timeout=600)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.splitlines()[-1] == "[]"
 
 
 def test_gallery_directive_reproduces_expected_table():

@@ -467,3 +467,53 @@ def test_taming_symmetrization_definition():
         lhs = v @ S @ w
         rhs = 0.5 * (v @ omega @ (J @ w) + w @ omega @ (J @ v))
         assert lhs == pytest.approx(rhs, abs=1e-10)
+
+
+# ---------------------------------------------------------------------------
+# numpy ports of scipy.linalg, with scipy as the reference
+# ---------------------------------------------------------------------------
+
+def test_null_space_matches_scipy_bitwise():
+    rng = np.random.default_rng(7)
+    cases = []
+    for _ in range(40):
+        m, n = (int(v) for v in rng.integers(1, 7, size=2))
+        r = int(rng.integers(1, min(m, n) + 1))
+        cases += [
+            (rng.standard_normal((m, n)), None),
+            (rng.standard_normal((m, r)) @ rng.standard_normal((r, n)), None),
+            (rng.standard_normal((1, n + 1)), None),          # as in xi_basis
+        ]
+        A = np.linalg.qr(rng.standard_normal((6, 3)))[0]
+        B = np.hstack([A[:, :2], rng.standard_normal((6, 1))])
+        cases.append((np.hstack([A, -B]), 1e-9))   # as in the intersection
+    for m, n in ((3, 5), (5, 5), (6, 2)):
+        # a smallest singular value just below and just above the default
+        # cut eps * max(m, n) * s_max
+        U = np.linalg.qr(rng.standard_normal((m, m)))[0]
+        V = np.linalg.qr(rng.standard_normal((n, n)))[0]
+        k = min(m, n)
+        for f in (0.3, 3.0):
+            S = np.zeros((m, n))
+            S[range(k), range(k)] = [1.0] * (k - 1) + [
+                f * np.finfo(float).eps * max(m, n)]
+            cases.append((U @ S @ V.T, None))
+    for A, rcond in cases:
+        got = conetame.null_space(A, rcond)
+        ref = scipy.linalg.null_space(A, rcond)
+        assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
+
+
+def test_subspace_angles_match_scipy():
+    rng = np.random.default_rng(11)
+    for _ in range(60):
+        n = int(rng.integers(2, 8))
+        p, q = (int(v) for v in rng.integers(1, n + 1, size=2))
+        A, B = rng.standard_normal((n, p)), rng.standard_normal((n, q))
+        # nearly parallel pairs take the sine form
+        near = A + 1e-9 * rng.standard_normal((n, p))
+        for X, Y in ((A, B), (A, near)):
+            got = conetame._subspace_angles(X, Y)
+            ref = scipy.linalg.subspace_angles(X, Y)
+            assert got.shape == ref.shape
+            assert np.max(np.abs(got - ref), initial=0.0) <= 1e-12
