@@ -5,7 +5,14 @@ Builds the cubic family alpha_s = dz + (x1^3 + s x1) dy1 + x2 dy2 directly
 through the approx API (no .cfl document), runs the full verdict, and prints
 the per-stratum limit table; then does the same for the flat non-example to
 show what a failure witness looks like.
+
+    PYTHONPATH=src python demos/factor_recovery.py
+
+exits 0 only when the cubic family PASSes and the flat one FAILs on item (c)
+alone, so it doubles as a check of the library route.
 """
+
+import sys
 
 import numpy as np
 import sympy as sp
@@ -55,7 +62,8 @@ pf = PartitionedForm({
                       samples=pts((.5, -.3, .2, .4, .1),
                                   (.35, .15, .55, -.25, .05))),
 })
-show("cubic family", approx_verdict(fam, pf))
+cubic = approx_verdict(fam, pf)
+show("cubic family", cubic)
 
 # flat family: the split extension is not compatible -> item (c) fails
 fam_flat = DeformationFamily.from_table(
@@ -66,4 +74,10 @@ pf_flat = PartitionedForm({
                              samples=pts((.5, -.3, .2, .4, .1),
                                          (-.6, .2, -.1, .3, -.2)),
                              mu_table={("x1", "y1"): 1, ("x2", "y2"): 1})})
-show("flat family", approx_verdict(fam_flat, pf_flat))
+flat = approx_verdict(fam_flat, pf_flat)
+show("flat family", flat)
+
+failing = [k for k, v in flat.verdict.sub.items() if v.status == "FAIL"]
+if cubic.verdict.status != "PASS" or failing != ["item_c"]:
+    sys.exit(f"expected cubic PASS and flat FAIL on item_c alone, got cubic "
+             f"{cubic.verdict.status}, flat failing {failing}")

@@ -31,7 +31,7 @@ from .chartfield import (Chart, FormFieldNum, _canon_table, compile_table,
                          table_wedge_power)
 from .conetame import FAIL, PASS, UNDETERMINED
 from .confolcheck import (SKIPPED, ConfoliationData, HyperplaneField, Verdict,
-                          aggregate, order_at)
+                          _norms, _points, aggregate, order_at)
 
 __all__ = [
     "DeformationFamily", "PartitionedForm", "StratumData", "StratumLimit",
@@ -164,14 +164,13 @@ class DeformationFamily:
 
     def base_consistency(self, samples, tau=1e-9):
         """alpha at s=0 spans the same line as beta at each sample."""
+        P = _points(samples, self.chart.dim)
+        r = _misalignments(_comp_rows(self.alpha_of(0.0), P),
+                           _comp_rows(self.base.h.alpha, P))
         worst, witness = 0.0, None
-        a0 = self.alpha_of(0.0)
-        for smp in samples:
-            v = _comp_vec(a0, smp.point)
-            b = _comp_vec(self.base.h.alpha, smp.point)
-            r = _misalignment(v, b)
-            if r > worst:
-                worst, witness = r, smp.point
+        for smp, ri in zip(samples, r.tolist()):
+            if ri > worst:
+                worst, witness = ri, smp.point
         status = PASS if worst <= tau else FAIL
         return Verdict(status, {"misalignment": worst}, witness,
                        "base direction residual")
@@ -262,22 +261,31 @@ def stratum_eta(fam: DeformationFamily, sd: StratumData):
 # pointwise helpers
 # ---------------------------------------------------------------------------
 
-def _comp_vec(f: FormFieldNum, p):
-    comp = f.components(p)
+def _comp_rows(f: FormFieldNum, P):
+    """Components of f at the points P (N, dim): an (N, K) array, one column
+    per key, and the sorted keys."""
+    comp = f.components(P)
     keys = sorted(comp)
-    return np.array([comp[k] for k in keys]), keys
+    rows = np.stack([comp[k] for k in keys], axis=1) if keys else \
+        np.zeros((len(P), 0))
+    return rows, keys
 
 
-def _misalignment(va, vb):
+def _misalignments(va, vb):
+    """Per point, the distance between the unit lines of two forms given as
+    _comp_rows: min |x - y|, |x + y| after normalizing; 0 when both vanish,
+    1 when one does."""
     (a, ka), (b, kb) = va, vb
     keys = sorted(set(ka) | set(kb))
-    x = np.array([dict(zip(ka, a)).get(k, 0.0) for k in keys])
-    y = np.array([dict(zip(kb, b)).get(k, 0.0) for k in keys])
-    nx, ny = np.linalg.norm(x), np.linalg.norm(y)
-    if nx == 0 or ny == 0:
-        return 0.0 if nx == ny else 1.0
-    x, y = x / nx, y / ny
-    return float(min(np.linalg.norm(x - y), np.linalg.norm(x + y)))
+    x, y = np.zeros((len(a), len(keys))), np.zeros((len(b), len(keys)))
+    x[:, [keys.index(k) for k in ka]] = a
+    y[:, [keys.index(k) for k in kb]] = b
+    nx, ny = _norms(x), _norms(y)
+    out = np.where(nx == ny, 0.0, 1.0)
+    live = (nx != 0) & (ny != 0)
+    x, y = x[live] / nx[live, None], y[live] / ny[live, None]
+    out[live] = np.minimum(_norms(x - y), _norms(x + y))
+    return out
 
 
 def _field_norm_at(f: FormFieldNum, p):
@@ -658,32 +666,37 @@ def approx_verdict(fam: DeformationFamily, pf: PartitionedForm, samples=None,
     rungs = [fam.alpha_of(s) for s in (2.0 ** -4, 2.0 ** -8, 2.0 ** -12)]
     h_probe = fam.hyperplane_at(s_probe)
 
-    # components of the base, the probe and each rung at every point; a nan
-    # or infinite one would turn every margin below into nan
-    points = [smp.point for smp in samples] + [
-        smp.point for sd in pf.strata.values() for smp in sd.samples]
-    comps = [[_comp_vec(f, p) for p in points]
+    # components of the base, the probe and each rung at every point, each
+    # field evaluated once on all of them; a nan or infinite one would turn
+    # every margin below into nan
+    points = list(samples) + [smp for sd in pf.strata.values()
+                              for smp in sd.samples]
+    P = _points(points, chart.dim)
+    comps = [_comp_rows(f, P)
              for f in [fam.base.h.alpha, h_probe.alpha] + rungs]
-    for i, p in enumerate(points):
-        if not all(np.isfinite(c[i][0]).all() for c in comps):
-            rep = ConformalLimitReport(status=FAIL)
-            rep.verdict = Verdict(FAIL, {}, p,
-                                  "alpha is not finite at the witness")
-            return rep
+    finite = np.logical_and.reduce([np.isfinite(c).all(axis=1)
+                                    for c, _ in comps])
+    if not finite.all():
+        rep = ConformalLimitReport(status=FAIL)
+        rep.verdict = Verdict(FAIL, {}, points[int(np.argmin(finite))].point,
+                              "alpha is not finite at the witness")
+        return rep
 
     sub = {}
     sub["base"] = fam.base_consistency(samples, tau=max(tau, 1e-9))
 
-    bad = [s.point for s in samples
-           if order_at(h_probe, s.point, fam.base.tau_rank).k != n]
+    m = len(samples)
+    bad = [s.point for s, res in zip(samples, order_at(
+        h_probe, P[:m], fam.base.tau_rank)) if res.k != n]
     sub["contact"] = Verdict(PASS if not bad else FAIL,
                              {"noncontact_points": len(bad)},
                              bad[0] if bad else None,
                              f"order_at == n at s={s_probe}")
 
     # item 1: hyperplane convergence measured along a short ladder
-    m = len(samples)
-    angles = [max(map(_misalignment, c[:m], comps[0][:m])) for c in comps[2:]]
+    base_m = (comps[0][0][:m], comps[0][1])
+    angles = [max(_misalignments((c[:m], keys), base_m).tolist())
+              for c, keys in comps[2:]]
     ok = angles[-1] <= 1e-3 and angles[-1] <= angles[0] + 1e-12
     sub["item1"] = Verdict(PASS if ok and sub["base"] else FAIL,
                            {"angles": angles}, None,

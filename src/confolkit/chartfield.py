@@ -9,16 +9,31 @@ trailing arguments, into numeric fields whose coefficients are callables on
 the coordinate array.  The rest is pointwise plumbing for the verifiers:
 central-difference d (the lane that cross-checks the exact ``table_d``),
 finite-difference pullbacks, short-time RK4 flows and seeded sample grids.
+
+Evaluation contract.  A coefficient callable takes the coordinates with the
+chart coordinate on the first axis: an array of shape ``(dim,)`` for one
+point, ``(dim, N)`` for N points, and returns a scalar or an ``(N,)`` array.
+``lambda p: p[0]``, a constant and a compiled table all satisfy it
+unchanged.  ``FormFieldNum.eval_at`` and ``components`` take one point
+``(dim,)`` or a batch ``(N, dim)`` (``Chart.lift`` too) and then put the
+leading N axis first; a verifier evaluates its forms once on all its samples
+this way and decides sample by sample in order, so a field handed to a
+verifier needs coefficients that take a batch.  Sums, scalings, wedges and
+``d_fd`` keep the contract; ``pullback`` coefficients take one point at a
+time.  Coefficients are evaluated with numpy's invalid/divide/overflow
+warnings off: a nan or infinite value is the verifier's to report.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 import sympy as sp
+from sympy.printing.numpy import NumPyPrinter
 
 from confolkit.grassmann import ScalarExpr
 
@@ -59,17 +74,30 @@ class Chart:
         return self.names.index(name)
 
     def lift(self, p):
-        """Wrap periodic coordinates into the box; error on out-of-box rest."""
+        """Wrap periodic coordinates into the box; error on out-of-box rest.
+
+        ``p`` is one point ``(dim,)`` or N points ``(N, dim)``.
+        """
         p = np.asarray(p, dtype=float)
-        if p.shape != (self.dim,):
+        if p.ndim not in (1, 2) or p.shape[-1] != self.dim:
             raise ValueError(f"point has shape {p.shape}, chart dim {self.dim}")
+        batch = p.ndim == 2
         q = p.copy()
         for i, name in enumerate(self.names):
             lo, hi = self.box[i]
+            at = (slice(None), i) if batch else i  # coordinate i, each point
+            x = p[at]
             if name in self.periodic:
-                q[i] = lo + (p[i] - lo) % (hi - lo)
-            elif not (lo - 1e-12 <= p[i] <= hi + 1e-12):
-                raise ValueError(f"coordinate {name}={p[i]} outside [{lo}, {hi}]")
+                q[at] = lo + (x - lo) % (hi - lo)
+                continue
+            if batch:
+                bad = x[~((lo - 1e-12 <= x) & (x <= hi + 1e-12))]
+                bad = bad[0] if bad.size else None
+            else:
+                bad = None if lo - 1e-12 <= x <= hi + 1e-12 else x
+            if bad is not None:
+                raise ValueError(
+                    f"coordinate {name}={bad} outside [{lo}, {hi}]")
         return q
 
     def symbols(self):
@@ -86,6 +114,19 @@ class PointSample:
     def __post_init__(self):
         if not (self.tau_rank > 0 and self.tau_pos > 0 and self.h > 0):
             raise ValueError("tolerances must be strictly positive")
+
+
+@functools.cache
+def _alternations(key):
+    """(permutation of the sorted key, its sign) for every permutation."""
+    return tuple((perm, _sort_sign(perm)[1])
+                 for perm in itertools.permutations(key))
+
+
+def _rows(v, n):
+    """A coefficient value as an (n,) float array (a constant broadcasts)."""
+    v = np.asarray(v, dtype=float)
+    return v if v.shape == (n,) else np.broadcast_to(v, (n,)).copy()
 
 
 def _sort_sign(idx):
@@ -106,8 +147,9 @@ def _sort_sign(idx):
 class FormFieldNum:
     """Degree-p form with evaluable coefficients on a chart.
 
-    ``coeffs`` maps strictly sorted index tuples to callables taking the full
-    coordinate array.  Use :meth:`from_symbolic` for sympy-backed fields.
+    ``coeffs`` maps strictly sorted index tuples to callables taking the
+    coordinate array, coordinate axis first (the module's evaluation
+    contract).  Use :meth:`from_symbolic` for sympy-backed fields.
     """
 
     def __init__(self, chart, degree, coeffs):
@@ -128,28 +170,32 @@ class FormFieldNum:
         return compile_table(chart, table, degree)()
 
     # -- evaluation --------------------------------------------------------
-    def eval_at(self, p):
-        """Full alternating component array at p (scalar for degree 0)."""
-        q = self.chart.lift(p)
-        m = self.chart.dim
-        if self.degree == 0:
-            fn = self.coeffs.get((), None)
-            return float(fn(q)) if fn else 0.0
-        T = np.zeros((m,) * self.degree)
-        for key, fn in self.coeffs.items():
-            v = float(fn(q))
-            if v == 0.0:
-                continue
-            for perm in itertools.permutations(key):
-                _, s = _sort_sign(perm)
-                # parity of perm relative to the sorted key
-                T[perm] += s * v
-        return T
-
     def components(self, p):
-        """Sorted-key coefficient dict at p."""
+        """Sorted-key coefficient dict at p: floats at one point ``(dim,)``,
+        ``(N,)`` arrays at N points ``(N, dim)``."""
         q = self.chart.lift(p)
-        return {key: float(fn(q)) for key, fn in self.coeffs.items()}
+        with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+            if q.ndim == 1:
+                return {key: float(fn(q)) for key, fn in self.coeffs.items()}
+            qt = q.T
+            return {key: _rows(fn(qt), len(q))
+                    for key, fn in self.coeffs.items()}
+
+    def eval_at(self, p):
+        """Full alternating component array at p (scalar for degree 0); at N
+        points ``(N, dim)`` the arrays gain a leading N axis."""
+        comps = self.components(p)
+        lead = np.shape(p)[:-1]
+        if self.degree == 0:
+            return comps.get((), np.zeros(lead) if lead else 0.0)
+        T = np.zeros(lead + (self.chart.dim,) * self.degree)
+        for key, v in comps.items():
+            if not lead and v == 0.0:
+                continue
+            # each permutation of the sorted key, with its parity
+            for perm, s in _alternations(key):
+                T[(..., *perm)] += s * v
+        return T
 
     # -- algebra -----------------------------------------------------------
     def __add__(self, other):
@@ -285,6 +331,30 @@ def table_contract(chart, table, v):
     return {k: v_ for k, v_ in out.items() if sp.expand(v_) != 0}
 
 
+# numpy's power on arrays may round differently from its power on scalars
+# (libm's pow) in the last bit, where + - * / and the elementary functions
+# agree; so a compiled power runs the scalar power at each entry, and a point
+# gives the same float in a batch as alone
+_pow_each = np.frompyfunc(lambda b, e: np.float64(b) ** e, 2, 1)
+
+
+def _pow(b, e):
+    if getattr(b, "ndim", 0) == 0 and getattr(e, "ndim", 0) == 0:
+        return b ** e
+    return _pow_each(b, e).astype(float)
+
+
+class _Printer(NumPyPrinter):
+    """The numpy printer with base**exp printed as _pow(base, exp); its
+    sqrt, 1/sqrt and 1/x forms stay."""
+
+    def _hprint_Pow(self, expr, rational=False, sqrt="numpy.sqrt"):
+        if not rational and (expr.exp == sp.S.Half or expr.is_commutative and (
+                -expr.exp is sp.S.Half or expr.exp is sp.S.NegativeOne)):
+            return super()._hprint_Pow(expr, rational, sqrt)
+        return f"_pow({self._print(expr.base)}, {self._print(expr.exp)})"
+
+
 def compile_table(chart, table, degree=None, params=()):
     """Lambdify each coefficient once over the chart coordinates followed by
     the symbols ``params``.
@@ -295,11 +365,13 @@ def compile_table(chart, table, degree=None, params=()):
     table = _canon_table(chart, table)
     deg = len(next(iter(table), ())) if degree is None else degree
     syms = (*chart.symbols(), *params)
-    fns = {key: sp.lambdify(syms, e, "numpy") for key, e in table.items()}
+    fns = {key: sp.lambdify(syms, e, [{"_pow": _pow}, "numpy"],
+                            printer=_Printer)
+           for key, e in table.items()}
 
     def bind(*values):
         return FormFieldNum(chart, deg, {
-            key: (lambda f: lambda p: float(f(*p, *values)))(fn)
+            key: (lambda f: lambda p: f(*p, *values))(fn)
             for key, fn in fns.items()})
     return bind
 
@@ -308,20 +380,28 @@ def table_to_field(chart, table, degree=None):
     return compile_table(chart, table, degree)()
 
 
+def _step(p, i, h):
+    """h times the i-th unit vector, shaped to add to p (one point or a
+    coordinate-first batch)."""
+    e = np.zeros((len(p),) + (1,) * (np.ndim(p) - 1))
+    e[i] = h
+    return e
+
+
 def _partial(fn, p, i, h, box, stats=None):
-    """Central-difference partial, one-sided (O(h)) against a box edge."""
+    """Central-difference partial, one-sided (O(h)) against a box edge; the
+    choice is made per point."""
     lo, hi = box[i]
     ok_plus = p[i] + h <= hi + 1e-15
-    ok_minus = p[i] - h >= lo - 1e-15
-    e = np.zeros(len(p))
-    e[i] = h
-    if ok_plus and ok_minus:
+    central = ok_plus & (p[i] - h >= lo - 1e-15)
+    e = _step(p, i, h)
+    if np.all(central):
         return (fn(p + e) - fn(p - e)) / (2 * h)
     if stats is not None:
-        stats["one_sided"] += 1
-    if ok_plus:
-        return (fn(p + e) - fn(p)) / h
-    return (fn(p) - fn(p - e)) / h
+        stats["one_sided"] += int(np.size(central) - np.count_nonzero(central))
+    up, mid, down = fn(p + e), fn(p), fn(p - e)
+    return np.where(central, (up - down) / (2 * h),
+                    np.where(ok_plus, (up - mid) / h, (mid - down) / h))
 
 
 def d_fd(f: FormFieldNum, h=None):
@@ -341,9 +421,10 @@ def d_fd(f: FormFieldNum, h=None):
                 if fn is None:
                     continue
                 if i in periodic_idx:
-                    e = np.zeros(len(p))
-                    e[i] = h
-                    dpart = (fn(chart.lift(p + e)) - fn(chart.lift(p - e))) / (2 * h)
+                    e = _step(p, i, h)
+                    # lift takes points as rows; p is coordinate-first
+                    dpart = (fn(chart.lift((p + e).T).T)
+                             - fn(chart.lift((p - e).T).T)) / (2 * h)
                 else:
                     dpart = _partial(fn, p, i, h, box, f.stats)
                 total += (-1) ** j * dpart
@@ -443,9 +524,12 @@ def sample_grid(chart, density, seed, tau_rank=DEFAULT_TAU_RANK,
         cell = edges[1] - edges[0]
         axes.append((centers, cell))
     h = chart.default_h()
-    samples = []
-    for combo in itertools.product(*(range(density) for _ in range(chart.dim))):
-        p = np.array([axes[i][0][c] + 0.3 * axes[i][1] * rng.uniform(-1, 1)
-                      for i, c in enumerate(combo)])
-        samples.append(PointSample(chart.lift(p), tau_rank, tau_pos, h))
-    return samples
+    # grid cells in itertools.product order, one jitter row per cell: the
+    # same draws, in the same order, as one uniform call per coordinate
+    cells = np.indices((density,) * chart.dim).reshape(chart.dim, -1).T
+    jitter = rng.uniform(-1, 1, size=cells.shape)
+    centers = np.stack([axes[i][0][cells[:, i]] for i in range(chart.dim)],
+                       axis=1)
+    widths = np.array([0.3 * cell for _, cell in axes])
+    points = chart.lift(centers + widths * jitter)
+    return [PointSample(p, tau_rank, tau_pos, h) for p in points]

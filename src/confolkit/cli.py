@@ -868,9 +868,11 @@ def _locate_stratum(chart, base_h, order, flags, limit=6):
     lo = np.array([b[0] for b in chart.box])
     hi = np.array([b[1] for b in chart.box])
     pad = 0.02 * (hi - lo)
+    inner_lo, inner_hi = lo + pad, hi - pad
 
     def g(x):
-        x = np.clip(x, lo + pad, hi - pad)
+        # np.clip's result, without its per-call dispatch
+        x = np.minimum(np.maximum(x, inner_lo), inner_hi)
         return sum(v * v for v in fld.components(x).values())
 
     found, reached = [], math.inf
@@ -879,7 +881,7 @@ def _locate_stratum(chart, base_h, order, flags, limit=6):
         x, fx = _nelder_mead(g, smp.point, xatol=1e-12, fatol=1e-24,
                              maxiter=4000)
         reached = min(reached, fx)
-        q = np.clip(x, lo + pad, hi - pad)
+        q = np.clip(x, inner_lo, inner_hi)
         if order_at(base_h, q, flags.tol_rank).k != order:
             continue
         if any(np.linalg.norm(q - f.point) < 1e-3 for f in found):

@@ -31,7 +31,7 @@ UNDETERMINED = "UNDETERMINED"
 
 DEFAULT_TAU_ANGLE = 1e-6
 _COEFF_TRUNC = 1e-12     # relative truncation of pencil polynomial coefficients
-_RAY_TOL = 1e-8          # roots closer than this to the ray: UNDETERMINED
+RAY_TOL = 1e-8           # roots closer than this to the ray: UNDETERMINED
 _MAX_BISECT = 4000       # exact bisection steps refining one root's float
 
 
@@ -121,6 +121,7 @@ class KernelResult:
     subspace: BasedSubspace = None
     rank: int = 0
     sigmas: np.ndarray = None
+    message: str = ""
 
 
 # ---------------------------------------------------------------------------
@@ -135,16 +136,29 @@ def kernel_with_tol(m, tau_rank=DEFAULT_TAU_RANK):
         return KernelResult(PASS, BasedSubspace(0, np.zeros((0, 0))), 0,
                             np.zeros(0))
     U, s, Vt = np.linalg.svd(m)
-    smax = s[0] if s.size else 0.0
-    cut = tau_rank * max(smax, 1.0)
-    rank = int(np.sum(s > cut))
+    rank = skew_rank(s, tau_rank)
     if rank % 2:
-        return KernelResult(
-            UNDETERMINED, rank=rank, sigmas=s,
-            message=f"odd numerical rank {rank}: tolerance ambiguity "
-                    f"(sigma around cut: {s[max(0, rank-1):rank+1]})")
+        return KernelResult(UNDETERMINED, rank=rank, sigmas=s,
+                            message=odd_rank_message(rank, s))
     null = Vt[rank:].T
     return KernelResult(PASS, BasedSubspace(n, null), rank, s)
+
+
+def skew_rank(s, tau_rank):
+    """Numerical rank from singular values s (descending): the number above
+    tau_rank * max(s_max, 1)."""
+    smax = s[0] if s.size else 0.0
+    return int(np.sum(s > tau_rank * max(smax, 1.0)))
+
+
+def sigmas_at_cut(rank, s):
+    """The singular values on either side of the rank cut."""
+    return s[max(0, rank - 1):rank + 1]
+
+
+def odd_rank_message(rank, s):
+    return (f"odd numerical rank {rank}: tolerance ambiguity "
+            f"(sigma around cut: {sigmas_at_cut(rank, s)})")
 
 
 def _svd_rank(s, shape, rcond=None):
@@ -259,7 +273,7 @@ def _ray_roots(coeffs, closed):
     if not poly:
         return None, [], []
     zeros = next(k for k, c in enumerate(poly) if c)
-    zero, tol = (0, 0), _dyadic(_RAY_TOL)
+    zero, tol = (0, 0), _dyadic(RAY_TOL)
     minus_tol = (-tol[0], tol[1])
     on = [0.0] * zeros if closed else []
     near = []
@@ -275,7 +289,7 @@ def _ray_roots(coeffs, closed):
             roots_near += _isolate(sturm, minus_tol,
                                    _count_at(sturm, minus_tol), zero, v_zero)
             if _sign_at(f, minus_tol) == 0:
-                roots_near.append(-_RAY_TOL)
+                roots_near.append(-RAY_TOL)
         on += roots_on * mult
         near += roots_near * mult
     return poly, sorted(on), sorted(near)
@@ -434,9 +448,9 @@ def pencil_positive(pair: SkewPair, closed=False, orientation=+1):
                              message=f"pencil degenerates at t={on[0]:.6g}")
     if near:
         return PencilVerdict(UNDETERMINED, coeffs, roots_on_ray=near,
-                             message=f"root within {_RAY_TOL:g} of the ray "
+                             message=f"root within {RAY_TOL:g} of the ray "
                                      f"(t={near[0]:.3g})")
-    if closed and abs(np.polyval(coeffs[::-1], 0.0)) <= _RAY_TOL * max(
+    if closed and abs(np.polyval(coeffs[::-1], 0.0)) <= RAY_TOL * max(
             1.0, np.max(np.abs(coeffs))):
         return PencilVerdict(UNDETERMINED, coeffs,
                              message="value at t=0 below tolerance")

@@ -3,9 +3,12 @@ stable Hamiltonian pairs, flows, collars, the open-book constructor, and
 pointwise bLob checks.
 
 All verifiers are pointwise at sampled points and return Verdict records.
-Status vocabulary: PASS / FAIL (with witness sample) / UNDETERMINED (tolerance
-ambiguity or exhausted search) / SKIPPED (declared-global conditions that
-samples cannot certify).
+The sample loops of ``order_at``/``rank_stratify``, ``confoliation_check``
+and ``shs_check`` evaluate their forms once on all samples (chartfield's
+batched evaluation) and then decide sample by sample in sample order, so a
+FAIL's witness is the first failing sample.  Status vocabulary: PASS / FAIL
+(with witness sample) / UNDETERMINED (tolerance ambiguity or exhausted
+search) / SKIPPED (declared-global conditions that samples cannot certify).
 """
 
 from __future__ import annotations
@@ -30,13 +33,17 @@ from confolkit.chartfield import (
 from confolkit.conetame import (
     FAIL,
     PASS,
+    RAY_TOL,
     UNDETERMINED,
     BasedSubspace,
     SkewPair,
     kernel_with_tol,
     null_space,
+    odd_rank_message,
     pencil_positive,
     pfaffian,
+    sigmas_at_cut,
+    skew_rank,
 )
 
 SKIPPED = "SKIPPED"
@@ -67,14 +74,6 @@ def aggregate(subs: dict) -> str:
 # hyperplane fields
 # ---------------------------------------------------------------------------
 
-class AlphaVanishes(ValueError):
-    """alpha is zero at a point, so ker(alpha) is no hyperplane there."""
-
-
-class NotFinite(ValueError):
-    """alpha has a nan or infinite coefficient at a point."""
-
-
 def _not_finite(values):
     """Name of the first form in ``values`` (name -> its values at one point)
     with a non-finite entry, else None; one np.isfinite call in all."""
@@ -89,6 +88,48 @@ def _not_finite(values):
         first -= v.size
 
 
+def _finite_rows(*arrays):
+    """Per point (leading axis): are all the arrays' entries finite?"""
+    ok = True
+    for a in arrays:
+        ok = ok & np.isfinite(a).all(axis=tuple(range(1, a.ndim)))
+    return ok
+
+
+def _points(samples, dim):
+    """The sample points as the rows of an (N, dim) array."""
+    return np.array([s.point for s in samples], dtype=float).reshape(-1, dim)
+
+
+def _norms(T):
+    """np.linalg.norm of each T[i], computed as numpy computes it (the square
+    root of the flattened dot product), so a row's norm is its single-point
+    norm bit for bit."""
+    flat = T.reshape(len(T), math.prod(T.shape[1:]))
+    return np.sqrt(np.array([r.dot(r) for r in flat]))
+
+
+def _xi_frames(A):
+    """Oriented orthonormal bases of ker(a), an (m, m-1) frame for each row
+    a of A (N, m); every row must be finite and nonzero.
+
+    One stacked SVD (a nonzero row has rank 1 under null_space's cut, so
+    the last m-1 right singular vectors span ker(a)) and one stacked det.
+    Orientation convention: (a, frame) agrees with the chart orientation, so
+    Pfaffian signs of restricted forms are well-defined.
+    """
+    vh = np.linalg.svd(A[:, None, :])[2]
+    B = np.swapaxes(vh[:, 1:, :], 1, 2).copy()
+    flip = np.linalg.det(np.concatenate([A[:, :, None], B], axis=2)) < 0
+    B[flip, :, 0] = -B[flip, :, 0]
+    return B
+
+
+def _skew_rows(M):
+    """conetame._skew of each M[i]."""
+    return 0.5 * (M - np.swapaxes(M, 1, 2))
+
+
 class HyperplaneField:
     """ker(alpha) on a chart, with dalpha cached (exact when built from a
     coefficient table, finite-difference otherwise)."""
@@ -99,6 +140,7 @@ class HyperplaneField:
         self.alpha = alpha
         self.symbolic_table = symbolic_table
         self.dalpha = dalpha if dalpha is not None else d_fd(alpha)
+        self._powers = None
 
     @classmethod
     def from_symbolic(cls, chart, table):
@@ -111,30 +153,32 @@ class HyperplaneField:
 
     # -- pointwise frames --------------------------------------------------
     def alpha_at(self, p):
+        """alpha at one point; ValueError where ker(alpha) is no hyperplane
+        (alpha vanishes, or has a nan or infinite coefficient)."""
         v = self.alpha.eval_at(p)
         norm = np.linalg.norm(v)
-        if not norm < np.inf:       # a nan or infinite coefficient
-            raise NotFinite(f"alpha is not finite at {p}")
+        if not norm < np.inf:
+            raise ValueError(f"alpha is not finite at {p}")
         if norm < 1e-12:
-            raise AlphaVanishes(f"alpha vanishes at {p}")
+            raise ValueError(f"alpha vanishes at {p}")
         return v
 
     def xi_basis(self, p):
-        """Oriented orthonormal basis of ker(alpha) at p.
-
-        Orientation convention: (alpha-dual vector, basis) agrees with the
-        chart orientation, so Pfaffian signs of restricted forms are
-        well-defined.
-        """
+        """Oriented orthonormal basis of ker(alpha) at p (see _xi_frames)."""
         a = self.alpha_at(p)
-        B = null_space(a[None, :])
-        if np.linalg.det(np.column_stack([a] + [B[:, i] for i in range(B.shape[1])])) < 0:
-            B = B.copy()
-            B[:, 0] = -B[:, 0]
-        return BasedSubspace(len(a), B)
+        return BasedSubspace(len(a), _xi_frames(a[None, :])[0])
 
     def n_max(self):
         return (self.chart.dim - 1) // 2
+
+    def wedge_powers(self):
+        """[alpha, alpha ^ dalpha, ..., alpha ^ dalpha^n_max], built once."""
+        if self._powers is None:
+            powers = [self.alpha]
+            for _ in range(self.n_max()):
+                powers.append(powers[-1].wedge(self.dalpha))
+            self._powers = powers
+        return self._powers
 
 
 # ---------------------------------------------------------------------------
@@ -149,24 +193,29 @@ class OrderResult:
     message: str = ""
 
 
-def order_at(h: HyperplaneField, p, tau_rank=None) -> OrderResult:
+def order_at(h: HyperplaneField, p, tau_rank=None):
     """Largest k with alpha ^ (dalpha)^k nonzero at p, by tensor norms.
 
     The scale for the k-th norm is ||alpha|| * max(||dalpha||, 1)^k; values
     inside the band (1e-2..1) * tau * scale are ambiguous -> UNDETERMINED.
+    At N points ``(N, dim)`` the result is a list, one OrderResult each.
     """
     tau = 1e-7 if tau_rank is None else tau_rank
-    a = h.alpha.eval_at(p)
-    da = h.dalpha.eval_at(p)
-    na, nda = np.linalg.norm(a), max(np.linalg.norm(da), 1.0)
-    n = h.n_max()
-    norms = []
-    power = h.alpha
-    for k in range(n + 1):
-        if k > 0:
-            power = power.wedge(h.dalpha)
-        vals = power.components(p).values()
-        norms.append(math.sqrt(sum(v * v for v in vals)))
+    a, da = h.alpha.eval_at(p), h.dalpha.eval_at(p)
+    lead = np.shape(p)[:-1]
+    norms = [np.broadcast_to(np.sqrt(sum(v * v for v in
+                                         f.components(p).values())), lead)
+             for f in h.wedge_powers()]
+    if not lead:
+        return _order([float(x) for x in norms], np.linalg.norm(a),
+                      max(np.linalg.norm(da), 1.0), h.n_max(), tau)
+    return [_order([float(x[i]) for x in norms], na, max(nda, 1.0),
+                   h.n_max(), tau)
+            for i, (na, nda) in enumerate(zip(_norms(a), _norms(da)))]
+
+
+def _order(norms, na, nda, n, tau) -> OrderResult:
+    """order_at's decision at one point from its norms."""
     k_star = -1
     for k in range(n + 1):
         scale = na * nda ** k
@@ -183,10 +232,13 @@ def order_at(h: HyperplaneField, p, tau_rank=None) -> OrderResult:
     return OrderResult(k_star, PASS, norms)
 
 
-def char_dist_at(h: HyperplaneField, p, tau_rank=None) -> BasedSubspace:
-    """(K_xi)_p = ker(dalpha restricted to ker alpha), in ambient coords."""
+def char_dist_at(h: HyperplaneField, p, tau_rank=None, xi=None):
+    """(K_xi)_p = ker(dalpha restricted to ker alpha), in ambient coords.
+
+    ``xi`` is ``h.xi_basis(p)`` when the caller already has it.
+    """
     tau = 1e-7 if tau_rank is None else tau_rank
-    xi = h.xi_basis(p)
+    xi = h.xi_basis(p) if xi is None else xi
     M = xi.restrict(h.dalpha.eval_at(p))
     res = kernel_with_tol(M, tau)
     if res.status != PASS:
@@ -205,17 +257,16 @@ def rank_stratify(h: HyperplaneField, samples, tau_rank=None):
     """
     strata = {}
     labels = []
-    jit = h.chart.default_h() * 0.1
-    for s in samples:
-        res = order_at(h, s.point, tau_rank)
-        if res.status == PASS:
-            q = np.clip(s.point + jit,
-                        [lo for lo, _ in h.chart.box],
-                        [hi for _, hi in h.chart.box])
-            res_j = order_at(h, q, tau_rank)
-            if res_j.status == PASS and res_j.k < res.k:
-                res = OrderResult(res.k, UNDETERMINED, res.norms,
-                                  "order drops under jitter: band ambiguity")
+    P = _points(samples, h.chart.dim)
+    jittered = np.clip(P + h.chart.default_h() * 0.1,
+                       [lo for lo, _ in h.chart.box],
+                       [hi for _, hi in h.chart.box])
+    for s, res, res_j in zip(samples, order_at(h, P, tau_rank),
+                             order_at(h, jittered, tau_rank)):
+        if (res.status == PASS and res_j.status == PASS
+                and res_j.k < res.k):
+            res = OrderResult(res.k, UNDETERMINED, res.norms,
+                              "order drops under jitter: band ambiguity")
         labels.append(res)
         strata.setdefault(res.k if res.status == PASS else None, []).append(s)
     return strata, labels
@@ -235,35 +286,57 @@ class ConfoliationData:
 
 def confoliation_check(c: ConfoliationData, samples) -> Verdict:
     """mu symplectically compatible: mu + t*dalpha nondegenerate on xi for
-    t > 0, and mu nondegenerate on K_xi, at every sample."""
+    t > 0, and mu nondegenerate on K_xi, at every sample.
+
+    alpha, dalpha and mu are evaluated once on all samples, and the frames
+    of xi and the kernels of dalpha on xi are stacked SVDs; the pencil's
+    exact Sturm decision and every verdict stay per sample, in order.
+    """
+    m = c.h.chart.dim
+    P = _points(samples, m)
+    A, DA, MU = (f.eval_at(P) for f in (c.h.alpha, c.h.dalpha, c.mu))
+    na = _norms(A)
+    # the stacked frames and kernels need finite input: rows that FAIL
+    # before they are read get placeholders
+    ok = (na < np.inf) & (na >= 1e-12) & _finite_rows(DA, MU)
+    B = _xi_frames(np.where(ok[:, None], A, np.eye(m)[0]))
+    Bt = np.swapaxes(B, 1, 2)
+    MU_xi, DA_xi = (Bt @ np.where(ok[:, None, None], T, 0.0) @ B
+                    for T in (MU, DA))
+    _, sig, Vt = np.linalg.svd(_skew_rows(DA_xi))
     worst = np.inf
-    for s in samples:
-        try:
-            xi = c.h.xi_basis(s.point)
-        except AlphaVanishes:
-            return Verdict(FAIL, witness=s.point,
-                           message="alpha vanishes at the witness")
-        except NotFinite:
-            return Verdict(FAIL, witness=s.point,
-                           message="alpha is not finite at the witness")
-        mu, da = c.mu.eval_at(s.point), c.h.dalpha.eval_at(s.point)
-        bad = _not_finite({"dalpha": da, "mu": mu})
-        if bad is not None:
+    for i, s in enumerate(samples):
+        if not ok[i]:
+            if not na[i] < np.inf:      # a nan or infinite coefficient
+                bad = "alpha"
+            elif na[i] < 1e-12:
+                return Verdict(FAIL, witness=s.point,
+                               message="alpha vanishes at the witness")
+            else:
+                bad = _not_finite({"dalpha": DA[i], "mu": MU[i]})
             return Verdict(FAIL, witness=s.point,
                            message=f"{bad} is not finite at the witness")
-        mu_xi = xi.restrict(mu)
-        da_xi = xi.restrict(da)
-        pv = pencil_positive(SkewPair(mu_xi, da_xi, ("mu", "dalpha")))
+        pv = pencil_positive(SkewPair(MU_xi[i], DA_xi[i], ("mu", "dalpha")))
+        if pv.status == UNDETERMINED:
+            # a root of Pf(mu + t dalpha) within RAY_TOL of the open ray
+            return Verdict(UNDETERMINED,
+                           {"tolerance": "ray_tol", "tau": RAY_TOL,
+                            "margin": pv.roots_on_ray[0]},
+                           s.point, f"pencil: {pv.message}")
         if pv.status != PASS:
             return Verdict(pv.status, witness=s.point,
                            message=f"pencil: {pv.message}")
-        K = char_dist_at(c.h, s.point, c.tau_rank)
-        if K.status != PASS:
-            return Verdict(UNDETERMINED, witness=s.point, message=K.message)
-        if K.subspace.dim:
-            mu_K = K.subspace.restrict(c.mu.eval_at(s.point))
+        rank = skew_rank(sig[i], c.tau_rank)
+        if rank % 2:
+            return Verdict(UNDETERMINED,
+                           {"tolerance": "tau_rank", "tau": c.tau_rank,
+                            "margin": sigmas_at_cut(rank, sig[i]).tolist()},
+                           s.point, odd_rank_message(rank, sig[i]))
+        if rank < m - 1:                # K_xi = ker(dalpha|xi) is nonzero
+            K = B[i] @ Vt[i][rank:].T
+            mu_K = K.T @ MU[i] @ K
             pf = pfaffian(mu_K)
-            scale = max(np.linalg.norm(mu_K), 1e-30) ** (K.subspace.dim // 2)
+            scale = max(np.linalg.norm(mu_K), 1e-30) ** (K.shape[1] // 2)
             if abs(pf) <= c.tau_pos * scale:
                 return Verdict(FAIL, witness=s.point,
                                message="mu degenerate on K_xi")
@@ -308,7 +381,8 @@ def filling_boundary_check(c: ConfoliationData, Omega: FormFieldNum, mode,
     """Boundary compatibility in one of the three filling senses."""
     if mode == "weak":
         for s in samples:
-            K = char_dist_at(c.h, s.point, c.tau_rank)
+            xi = c.h.xi_basis(s.point)
+            K = char_dist_at(c.h, s.point, c.tau_rank, xi)
             if K.status != PASS:
                 return Verdict(UNDETERMINED, witness=s.point, message=K.message)
             if K.subspace.dim:
@@ -325,7 +399,6 @@ def filling_boundary_check(c: ConfoliationData, Omega: FormFieldNum, mode,
                     return Verdict(FAIL, witness=s.point,
                                    message=f"Omega|_K != f mu|_K (f={f:.3g}, "
                                            f"residual {resid:.2e})")
-            xi = c.h.xi_basis(s.point)
             pv = pencil_positive(SkewPair(xi.restrict(Omega.eval_at(s.point)),
                                           xi.restrict(c.h.dalpha.eval_at(s.point))),
                                  closed=True)
@@ -371,45 +444,52 @@ class StableHamiltonianPair:
 
 
 def shs_check(s: StableHamiltonianPair, samples, tau=1e-9) -> Verdict:
-    """lambda ^ omega^n > 0, d omega = 0, ker omega inside ker d lambda."""
+    """lambda ^ omega^n > 0, d omega = 0, ker omega inside ker d lambda.
+
+    The forms are evaluated once on all samples and the kernels of omega
+    are one stacked SVD; the verdicts stay per sample, in order.
+    """
     n = s.chart.dim // 2
     top = s.lam.wedge(s.omega.wedge_power(n))
     dlam = d_fd(s.lam)
     domega = d_fd(s.omega)
-    key = tuple(range(s.chart.dim))
+    P = _points(samples, s.chart.dim)
+    forms = {"lambda": s.lam.eval_at(P), "omega": s.omega.eval_at(P),
+             "d lambda": dlam.eval_at(P), "d omega": domega.eval_at(P)}
+    lam, W, dl, dw = forms.values()
+    vol = top.components(P).get(tuple(range(s.chart.dim)), np.zeros(len(P)))
+    ok = _finite_rows(*forms.values())
+    _, sig, Vt = np.linalg.svd(_skew_rows(np.where(ok[:, None, None], W, 0.0)))
     margins = []
-    for smp in samples:
-        lam, W = s.lam.eval_at(smp.point), s.omega.eval_at(smp.point)
-        dl, dw = dlam.eval_at(smp.point), domega.eval_at(smp.point)
-        bad = _not_finite({"lambda": lam, "omega": W, "d lambda": dl,
-                           "d omega": dw})
-        if bad is not None:
+    for i, smp in enumerate(samples):
+        if not ok[i]:
+            bad = _not_finite({name: v[i] for name, v in forms.items()})
             return Verdict(FAIL, witness=smp.point,
                            message=f"{bad} is not finite at the witness")
-        vol = top.components(smp.point).get(key, 0.0)
-        if vol <= tau:
+        if vol[i] <= tau:
             return Verdict(FAIL, witness=smp.point,
-                           message=f"lambda^omega^{n} = {vol:.3e} not positive")
-        res = kernel_with_tol(W, 1e-7)
-        if res.status != PASS or res.subspace.dim != 1:
+                           message=f"lambda^omega^{n} = {vol[i]:.3e} "
+                                   "not positive")
+        rank = skew_rank(sig[i], 1e-7)
+        if rank != s.chart.dim - 1:     # the kernel is not a line
             return Verdict(FAIL, witness=smp.point,
                            message="ker omega is not one-dimensional")
-        R = res.subspace.basis[:, 0]
-        lam_R = float(lam @ R)
+        R = Vt[i][rank]
+        lam_R = float(lam[i] @ R)
         if lam_R < 0:
             R, lam_R = -R, -lam_R
         if lam_R <= tau:
             return Verdict(FAIL, witness=smp.point,
                            message="lambda(R) not positive")
-        resid = np.linalg.norm(dl @ R)
+        resid = np.linalg.norm(dl[i] @ R)
         if resid > max(tau, 100 * smp.h ** 2):
             return Verdict(FAIL, witness=smp.point,
                            message=f"iota_R d lambda = {resid:.2e}")
-        dres = np.linalg.norm(dw)
+        dres = np.linalg.norm(dw[i])
         if dres > 1000 * smp.h:
             return Verdict(FAIL, witness=smp.point,
                            message=f"omega not closed: {dres:.2e}")
-        margins.append((vol, lam_R, resid))
+        margins.append((float(vol[i]), lam_R, resid))
     return Verdict(PASS, margins={"per_sample": margins})
 
 
@@ -526,8 +606,10 @@ def deformation_collar(h: HyperplaneField, Omega_M: FormFieldNum,
     Retries with flatter rho (doubling T) before giving up UNDETERMINED.
     """
     dbeta = d_fd(beta)
+    xis = []                # xi at each sample, for the retries below
     for s in samples_M:
-        K = char_dist_at(h, s.point)
+        xis.append(h.xi_basis(s.point))
+        K = char_dist_at(h, s.point, xi=xis[-1])
         if K.status != PASS:
             return None, Verdict(UNDETERMINED, message=K.message)
         if K.subspace.dim == 0:
@@ -552,9 +634,10 @@ def deformation_collar(h: HyperplaneField, Omega_M: FormFieldNum,
         rho_fn = rho if rho is not None else (
             lambda t, Tc=Tc: 3 * (t / Tc) ** 2 - 2 * (t / Tc) ** 3)
         eps = 1e-6 * Tc
-        drho = lambda t, Tc=Tc: (rho_fn(min(t + eps, Tc)) -
-                                 rho_fn(max(t - eps, 0.0))) / (
-            min(t + eps, Tc) - max(t - eps, 0.0))
+        # np.minimum/np.maximum so the collar form also takes a batch
+        drho = lambda t, Tc=Tc: (rho_fn(np.minimum(t + eps, Tc)) -
+                                 rho_fn(np.maximum(t - eps, 0.0))) / (
+            np.minimum(t + eps, Tc) - np.maximum(t - eps, 0.0))
         dt = FormFieldNum(product, 1, {(0,): lambda p: 1.0})
         Omega = (dt.wedge(alpha_c) + dalpha_c.scale(lambda p: p[0])
                  + omega_c + dt.wedge(beta_c).scale(lambda p: drho(p[0]))
@@ -564,13 +647,12 @@ def deformation_collar(h: HyperplaneField, Omega_M: FormFieldNum,
         key = tuple(range(product.dim))
         ok = True
         for tv in np.linspace(0, 1, 5):
-            for s in samples_M:
+            for s, xi in zip(samples_M, xis):
                 q = np.concatenate([[tv * T_cur], s.point])
                 vol = top.components(q).get(key, 0.0) / math.factorial(n1)
                 if vol <= tau:
                     ok = False
                     break
-                xi = h.xi_basis(s.point)
                 slice_form = xi.restrict(Omega_M.eval_at(s.point)
                                          + rho_fn(tv * T_cur)
                                          * dbeta.eval_at(s.point))

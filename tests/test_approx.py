@@ -3,6 +3,10 @@ conformal limits on both paths, bivariate compatibility, full bundles."""
 
 import dataclasses
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -395,6 +399,42 @@ def test_stratum_without_mu_fails_item_c():
     assert rep.verdict.sub["item_c"].sub["C0"].status == PASS
 
 
+R3 = Chart(("x", "y", "z"), ((-1.0, 1.0),) * 3)
+x, y = sp.symbols("x y")
+# seven pooled samples; positions 2 and 5 have x = 3/5 and 7/10
+ORDERED = [PointSample(np.array(c)) for c in (
+    (-0.9, 0.1, 0.0), (-0.6, 0.2, 0.1), (0.6, 0.3, 0.2), (-0.3, 0.4, 0.3),
+    (0.0, 0.5, 0.4), (0.7, 0.6, 0.5), (0.2, 0.7, 0.6))]
+
+
+def test_contact_spot_check_witness_is_the_first_noncontact_sample():
+    # alpha_s ^ dalpha_s = s f'(x) vol with f' = (x - 3/5)(x - 7/10), so the
+    # probe is not contact exactly at positions 2 and 5
+    a, b = sp.Rational(3, 5), sp.Rational(7, 10)
+    f = x**3 / 3 - (a + b) * x**2 / 2 + a * b * x
+    fam = DeformationFamily.from_table(R3, {"z": 1, "y": s * f},
+                                       {("x", "y"): 1}, param=s)
+    rep = approx_verdict(fam, PartitionedForm({}), samples=ORDERED)
+    contact = rep.verdict.sub["contact"]
+    assert contact.status == FAIL
+    assert contact.margins == {"noncontact_points": 2}
+    np.testing.assert_array_equal(contact.witness, ORDERED[2].point)
+
+
+def test_first_bad_pooled_sample_names_its_cause():
+    # alpha_s is infinite at positions 3 (x = -3/10) and 6 (x = 1/5) and
+    # vanishes at position 5 (x = 7/10, y = 3/5)
+    fam = DeformationFamily.from_table(
+        R3, {"z": y - sp.Rational(3, 5),
+             "y": s * (x - sp.Rational(7, 10))
+             / ((x + sp.Rational(3, 10)) * (x - sp.Rational(1, 5)))},
+        {("x", "y"): 1}, param=s)
+    rep = approx_verdict(fam, PartitionedForm({}), samples=ORDERED)
+    assert rep.verdict.status == FAIL
+    assert rep.verdict.message == "alpha is not finite at the witness"
+    np.testing.assert_array_equal(rep.verdict.witness, ORDERED[3].point)
+
+
 def test_approx_reparameterization_invariance():
     fam2 = DeformationFamily.from_table(
         R5, {"z": 1, "y1": x1**3 + 3 * s * x1, "y2": x2},
@@ -439,3 +479,19 @@ def test_symbolic_and_numeric_paths_agree_on_cubic():
     num = conformal_limit(zeta_num, eta, ON_C1).strata[0]
     assert sym.status == num.status == PASS
     assert sym.exponent == num.exponent == 1
+
+
+def test_factor_recovery_demo_checks_its_verdicts():
+    # the library demo, run as CI runs it (no scipy): exit 0 means cubic
+    # PASS and flat FAIL on item (c) alone
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")])))
+    code = ("import runpy, sys; sys.modules['scipy'] = None; "
+            f"runpy.run_path({str(root / 'demos' / 'factor_recovery.py')!r}, "
+            "run_name='__main__')")
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                       text=True, env=env, timeout=300)
+    assert r.returncode == 0, r.stderr
+    assert "== cubic family: PASS" in r.stdout
+    assert "message: failing: item (c)" in r.stdout

@@ -1,13 +1,17 @@
 """Pointwise field plumbing: evaluation, FD derivative, pullbacks, grids."""
 
+import itertools
+
 import numpy as np
 import pytest
 import sympy as sp
+from hypothesis import given, settings, strategies as st
 
 from confolkit.chartfield import (
     Chart,
     FormFieldNum,
     PointSample,
+    compile_table,
     d_fd,
     flow_rk4,
     pullback,
@@ -190,3 +194,109 @@ def test_mnw_like_exponential_coefficient():
                                            ("theta1",): sp.exp(t1)})
     v = f.eval_at([0.0, 0.3, 0.3])
     assert v[ch.index("theta1")] == pytest.approx(1.0)
+
+
+# ---------------------------------------------------------------------------
+# batched evaluation: N points at once equal N single points
+# ---------------------------------------------------------------------------
+
+# x stays positive for sqrt; t is a circle coordinate
+BOXED = Chart(("x", "y", "t"), ((0.5, 2.0), (-1.0, 1.0), (0.0, 2 * np.pi)),
+              periodic=("t",))
+_X, _Y, _T = sp.symbols("x y t")
+_ATOMS = (_X**2, _X**3 * _Y, _Y**4, sp.sqrt(_X), _X**sp.Rational(3, 2),
+          sp.sin(_T), sp.cos(_T) * _Y, sp.exp(_Y), sp.exp(_X) * sp.sin(_T),
+          1 / _X, sp.Integer(3), sp.Rational(-2, 7))
+
+
+def _random_table(rng, degree):
+    table = {}
+    for key in itertools.combinations(range(3), degree):
+        if rng.random() < 0.3:
+            continue            # leave some keys out
+        terms = rng.choice(len(_ATOMS), size=rng.integers(1, 4))
+        table[key] = sum(int(rng.integers(-3, 4)) * _ATOMS[i] for i in terms)
+    return table or {tuple(range(degree)): sp.Integer(1)}
+
+
+def _edge_points(rng, n, h):
+    """Random points of BOXED; every third one lies within h of an x or y
+    edge and the one after it within h of an end of the t period."""
+    lo, hi = (np.array(b, dtype=float) for b in zip(*BOXED.box))
+    P = lo + rng.random((n, 3)) * (hi - lo)
+    for row in range(0, n - 1, 3):
+        for r, i in ((row, rng.integers(0, 2)), (row + 1, 2)):
+            P[r, i] = lo[i] + rng.random() * h if rng.random() < 0.5 \
+                else hi[i] - rng.random() * h
+    return P
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_batch_rows_equal_single_points(seed):
+    rng = np.random.default_rng(seed)
+    alpha = compile_table(BOXED, _random_table(rng, 1), 1)()
+    beta = compile_table(BOXED, _random_table(rng, 2), 2)()
+    P = _edge_points(rng, 12, BOXED.default_h())
+    fields = {"alpha": alpha, "beta": beta, "alpha^beta": alpha.wedge(beta),
+              "alpha^alpha": alpha.wedge(alpha),
+              "beta + 2 alpha^alpha": beta + alpha.wedge(alpha).scale(2.0),
+              "d alpha": d_fd(alpha), "d beta": d_fd(beta)}
+    for name, f in fields.items():
+        batch, comps = f.eval_at(P), f.components(P)
+        assert batch.shape == (len(P),) + (3,) * f.degree, name
+        for i, p in enumerate(P):
+            np.testing.assert_allclose(batch[i], f.eval_at(p), rtol=1e-12,
+                                       atol=0, err_msg=name)
+            one = f.components(p)
+            assert set(one) == set(comps), name
+            for key, v in one.items():
+                np.testing.assert_allclose(comps[key][i], v, rtol=1e-12,
+                                           atol=0, err_msg=name)
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_batch_counts_one_sided_stencils_per_point(seed):
+    rng = np.random.default_rng(seed)
+    table = _random_table(rng, 1)
+    table.setdefault((2,), sp.sin(_T))  # so d takes x and y partials
+    P = _edge_points(rng, 12, BOXED.default_h())
+    batched, single = (compile_table(BOXED, table, 1)() for _ in range(2))
+    d_fd(batched).eval_at(P)
+    d_single = d_fd(single)
+    for p in P:
+        d_single.eval_at(p)
+    assert batched.stats["one_sided"] == single.stats["one_sided"] > 0
+
+
+def test_lift_batch_equals_single_points():
+    rng = np.random.default_rng(4)
+    P = rng.uniform([0.5, -1.0, -20.0], [2.0, 1.0, 20.0], (200, 3))
+    Q = BOXED.lift(P)
+    for p, q in zip(P, Q):
+        assert BOXED.lift(p).tobytes() == q.tobytes()
+    with pytest.raises(ValueError, match="coordinate y=1.5 outside"):
+        BOXED.lift(np.array([[1.0, 0.0, 0.0], [1.0, 1.5, 0.0]]))
+
+
+@pytest.mark.parametrize("density", [1, 2, 3])
+def test_sample_grid_draws_one_jitter_per_coordinate(density):
+    # the grid as one rng.uniform call per coordinate, in product order
+    ch = Chart(("theta", "x", "y"), ((0, 2 * np.pi), (0, 1), (-2, 3)),
+               periodic=("theta",))
+    rng = np.random.default_rng(9)
+    axes = []
+    for i, name in enumerate(ch.names):
+        lo, hi = ch.box[i]
+        w = 0.0 if name in ch.periodic else (hi - lo) * 0.05
+        edges = np.linspace(lo + w, hi - w, density + 1)
+        axes.append((0.5 * (edges[:-1] + edges[1:]), edges[1] - edges[0]))
+    ref = [ch.lift(np.array([axes[i][0][c]
+                             + 0.3 * axes[i][1] * rng.uniform(-1, 1)
+                             for i, c in enumerate(combo)]))
+           for combo in itertools.product(range(density), repeat=3)]
+    got = sample_grid(ch, density, 9, margin=0.05)
+    assert len(got) == len(ref)
+    for s, p in zip(got, ref):
+        assert s.point.tobytes() == p.tobytes()

@@ -474,6 +474,47 @@ def test_non_finite_family_coefficient_is_a_fail_verdict(tmp_path):
     assert verdict["message"] == "alpha is not finite at the witness"
 
 
+# x^(1/2) is nan on the negative half of the box: the verdicts name the
+# form, so numpy's "invalid value" warnings would only repeat it
+SQRT_DOCS = {
+    "confoliation-shs": ("chart x y z\n"
+                         "form a = dz + x^(1/2) * dy\n"
+                         "form W = dx ^ dy\n"
+                         "check confoliation a W\n"
+                         "check shs a W\n",
+                         ["alpha is not finite at the witness",
+                          "lambda is not finite at the witness"]),
+    "approx": ("chart x y z\n"
+               "param s\n"
+               "form a = dz + s * x^(1/2) * dy\n"
+               "form W = dx ^ dy\n"
+               "extend mu on stratum 0 = dx ^ dy\n"
+               "check approx a W\n",
+               ["alpha is not finite at the witness"]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SQRT_DOCS))
+def test_non_finite_coefficient_prints_no_numpy_warning(tmp_path, name):
+    text, messages = SQRT_DOCS[name]
+    doc = tmp_path / "sqrt.cfl"
+    doc.write_text(text)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    # PYTHONWARNINGS=default shows every RuntimeWarning once per location
+    env = dict(os.environ, PYTHONWARNINGS="default",
+               PYTHONPATH=os.pathsep.join(
+                   filter(None, [src, os.environ.get("PYTHONPATH")])))
+    r = subprocess.run([sys.executable, "-m", "confolkit.cli", str(doc),
+                        "--format", "json"],
+                       capture_output=True, text=True, env=env, timeout=300)
+    assert r.returncode == 1
+    assert "RuntimeWarning" not in r.stderr
+    assert r.stderr == ""
+    checks = json.loads(r.stdout)["checks"]
+    assert [e["status"] for e in checks] == [FAIL] * len(messages)
+    assert [e["message"] for e in checks] == messages
+
+
 def test_family_singular_at_the_base_is_a_diagnostic(tmp_path):
     doc = tmp_path / "singular.cfl"
     doc.write_text("chart x y z\n"

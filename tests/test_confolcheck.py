@@ -156,6 +156,159 @@ def test_confoliation_contact_with_dalpha():
     assert confoliation_check(c, SAMPLES).status == PASS
 
 
+# ---------------------------------------------------------------------------
+# batched sample loops: witness order and named bands
+# ---------------------------------------------------------------------------
+
+R3 = Chart(("x", "y", "z"), ((-1.0, 1.0),) * 3)
+x, y = sp.symbols("x y")
+# seven samples told apart by x: positions 2 and 5 have x > 0.5, position
+# 3 has x = -0.3, position 5 alone has x > 0.65
+ORDERED = pts((-0.9, 0.1, 0.0), (-0.6, 0.2, 0.1), (0.6, 0.3, 0.2),
+              (-0.3, 0.4, 0.3), (0.0, 0.5, 0.4), (0.7, 0.6, 0.5),
+              (0.2, 0.7, 0.6))
+
+
+def _field(degree, coeffs):
+    """A numeric field on R3 from callables in the evaluation contract."""
+    return FormFieldNum(R3, degree, coeffs)
+
+
+def _sign_at_2_and_5(p):
+    return np.where(p[0] > 0.5, -1.0, 1.0)
+
+
+def _nan_at_3(p):
+    return np.where(np.isclose(p[0], -0.3), np.nan, 0.0)
+
+
+def _zero_at_5(p):
+    return np.where(p[0] > 0.65, 0.0, 1.0)
+
+
+def _dz_dxdy():
+    return HyperplaneField(R3, _field(1, {(2,): lambda p: 1.0}),
+                           _field(2, {(0, 1): lambda p: 1.0}))
+
+
+def test_confoliation_witness_is_the_first_failing_sample():
+    # mu = -dx^dy at positions 2 and 5: the pencil degenerates at t = 1
+    c = ConfoliationData(_dz_dxdy(), _field(2, {(0, 1): _sign_at_2_and_5}))
+    v = confoliation_check(c, ORDERED)
+    assert v.status == FAIL
+    assert v.message.startswith("pencil: pencil degenerates at t=1")
+    np.testing.assert_array_equal(v.witness, ORDERED[2].point)
+    assert confoliation_check(c, ORDERED[:2] + ORDERED[3:5]).status == PASS
+
+
+def test_confoliation_first_bad_sample_names_its_cause():
+    # alpha is nan at position 3 and vanishes at position 5
+    h = HyperplaneField(R3, _field(1, {(1,): _nan_at_3, (2,): _zero_at_5}),
+                        _field(2, {(0, 1): lambda p: 1.0}))
+    c = ConfoliationData(h, _field(2, {(0, 1): lambda p: 1.0}))
+    v = confoliation_check(c, ORDERED)
+    assert v.status == FAIL
+    assert v.message == "alpha is not finite at the witness"
+    np.testing.assert_array_equal(v.witness, ORDERED[3].point)
+    v = confoliation_check(c, ORDERED[4:])
+    assert (v.status, v.message) == (FAIL, "alpha vanishes at the witness")
+    np.testing.assert_array_equal(v.witness, ORDERED[5].point)
+    # a nan mu after a nan dalpha names dalpha
+    c = ConfoliationData(
+        HyperplaneField(R3, _field(1, {(2,): lambda p: 1.0}),
+                        _field(2, {(0, 1): lambda p: 1.0 + _nan_at_3(p)})),
+        _field(2, {(0, 1): lambda p: 1.0 + _nan_at_3(p)}))
+    assert confoliation_check(c, ORDERED).message == \
+        "dalpha is not finite at the witness"
+
+
+def test_shs_witness_is_the_first_failing_sample():
+    lam = _field(1, {(2,): lambda p: 1.0})
+    om = _field(2, {(0, 1): _sign_at_2_and_5})
+    v = shs_check(StableHamiltonianPair(lam, om, R3), ORDERED)
+    assert v.status == FAIL and "not positive" in v.message
+    np.testing.assert_array_equal(v.witness, ORDERED[2].point)
+
+
+def test_shs_first_bad_sample_names_its_cause():
+    # lambda is nan at position 3 and vanishes at position 5
+    lam = _field(1, {(1,): _nan_at_3, (2,): _zero_at_5})
+    om = _field(2, {(0, 1): lambda p: 1.0})
+    v = shs_check(StableHamiltonianPair(lam, om, R3), ORDERED)
+    assert v.status == FAIL
+    assert v.message == "lambda is not finite at the witness"
+    np.testing.assert_array_equal(v.witness, ORDERED[3].point)
+    v = shs_check(StableHamiltonianPair(lam, om, R3), ORDERED[4:])
+    assert v.status == FAIL and "lambda^omega^1 = 0.000e+00" in v.message
+    np.testing.assert_array_equal(v.witness, ORDERED[5].point)
+
+
+def test_batched_order_at_matches_single_points():
+    grid = SAMPLES + pts((0.0, 0.1, 0.2, 0.3, 0.0), (1.0, -1.0, 0.0, 0.5, 1.0))
+    P = np.array([s.point for s in grid])
+    for h in (darboux_field(), cubic_field(), flat_field()):
+        batch = order_at(h, P)
+        assert batch == [order_at(h, p) for p in P]
+
+
+def test_pencil_band_names_its_tolerance():
+    # Pf(mu + t dalpha) on xi is a multiple of t - 5e-9: a root within
+    # RAY_TOL = 1e-8 of the open ray
+    h = HyperplaneField.from_symbolic(R3, {"z": 1, "y": x})
+    mu = FormFieldNum.from_symbolic(R3, 2,
+                                    {("x", "y"): -sp.Rational(5, 10**9)})
+    v = confoliation_check(ConfoliationData(h, mu), pts((0.1, 0.2, 0.3)))
+    assert v.status == UNDETERMINED
+    assert v.message.startswith("pencil: root within 1e-08 of the ray")
+    assert set(v.margins) == {"tolerance", "tau", "margin"}
+    assert (v.margins["tolerance"], v.margins["tau"]) == ("ray_tol", 1e-8)
+    assert v.margins["margin"] == pytest.approx(5e-9, rel=1e-6)
+
+
+def _banded_pair(seed):
+    """dalpha = Q diag(J, 1e-7 J) Q^T on ker dz of R5: its small singular
+    pair sits on the rank cut 1e-7 * max(sigma_max, 1), where rounding in
+    the SVD splits it for some rotations Q; mu = Q diag(J, J) Q^T keeps the
+    pencil positive."""
+    rng = np.random.default_rng(seed)
+    Q, _ = np.linalg.qr(rng.standard_normal((4, 4)))
+    Q[:, 0] *= np.sign(np.linalg.det(Q))
+    J = np.array([[0.0, 1.0], [-1.0, 0.0]])
+    Z = np.zeros((2, 2))
+    D, M = np.zeros((5, 5)), np.zeros((5, 5))
+    D[:4, :4] = Q @ np.block([[J, Z], [Z, 1e-7 * J]]) @ Q.T
+    M[:4, :4] = Q @ np.block([[J, Z], [Z, J]]) @ Q.T
+
+    def const(T):
+        return FormFieldNum(R5, 2, {
+            (i, j): (lambda v: lambda p: v)(T[i, j])
+            for i in range(5) for j in range(i + 1, 5)})
+    h = HyperplaneField(R5, FormFieldNum(R5, 1, {(4,): lambda p: 1.0}),
+                        const(D))
+    return ConfoliationData(h, const(M))
+
+
+def test_kernel_band_names_its_tolerance():
+    banded = []
+    for seed in range(60):
+        c = _banded_pair(seed)
+        v = confoliation_check(c, SAMPLES[:1])
+        if v.status != PASS:
+            banded.append((c, v))
+    assert banded, "no rotation split the singular pair at the cut"
+    for c, v in banded:
+        assert v.status == UNDETERMINED
+        assert v.message.startswith("odd numerical rank 3")
+        assert (v.margins["tolerance"], v.margins["tau"]) == ("tau_rank", 1e-7)
+        above, below = v.margins["margin"]
+        assert above > below
+        assert abs(above - 1e-7) < 1e-15 and abs(below - 1e-7) < 1e-15
+        # the single-point K_xi reports the same band (it raised a
+        # TypeError before KernelResult had a message)
+        K = char_dist_at(c.h, SAMPLES[0].point, c.tau_rank)
+        assert (K.status, K.message) == (UNDETERMINED, v.message)
+
+
 def test_cone_membership_recovers_coefficients():
     h = cubic_field()
     mu = mu_field({("x1", "y1"): 1})
