@@ -18,7 +18,7 @@ import numpy as np
 import sympy as sp
 
 from confolkit import (approx_verdict, Chart, DeformationFamily,
-                       PartitionedForm, PointSample, StratumData)
+                       PartitionedForm, StratumData)
 
 x1, x2, s = sp.symbols("x1 x2 s")
 chart = Chart(("x1", "y1", "x2", "y2", "z"), ((-1, 1),) * 5)
@@ -26,7 +26,7 @@ TOP = (0, 1, 2, 3, 4)
 
 
 def pts(*rows):
-    return [PointSample(np.array(r, dtype=float)) for r in rows]
+    return np.array(rows, dtype=float)
 
 
 def show(title, rep):

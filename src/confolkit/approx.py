@@ -17,6 +17,9 @@ re-exported here); alpha and its exact d are compiled once and each
 parameter value only binds.  The exact route reads the rate off the Laurent
 expansion of alpha ^ dalpha^(k+1); the numeric route fits it on a ladder of
 parameter values with the finite-difference d, so the two cross-check.
+Sample sets, a stratum's and the pooled generic ones, are ``(N, dim)``
+float arrays; the default generic set is ``sample_prefix``'s first 24
+points of a seeded grid, which cover the whole box.
 """
 
 import math
@@ -26,12 +29,12 @@ import numpy as np
 import sympy as sp
 
 from .chartfield import (Chart, FormFieldNum, _canon_table, compile_table,
-                         d_fd, sample_grid, table_contract, table_d,
+                         d_fd, sample_prefix, table_contract, table_d,
                          table_to_field, table_top, table_wedge,
                          table_wedge_power)
 from .conetame import FAIL, PASS, UNDETERMINED
 from .confolcheck import (SKIPPED, ConfoliationData, HyperplaneField, Verdict,
-                          _norms, _points, aggregate, order_at)
+                          _norms, aggregate, order_at)
 
 __all__ = [
     "DeformationFamily", "PartitionedForm", "StratumData", "StratumLimit",
@@ -112,8 +115,7 @@ class DeformationFamily:
     family is given symbolically (index-keyed coefficient table in the
     coordinates and the parameter) and/or as a callable s -> FormFieldNum.
     ``dalpha_of`` gives the exact d of a symbolic family; without it the
-    hyperplane fields take the finite-difference d.  ``direction`` is
-    either "s->0" or "m->inf" (the latter substitutes s = 1/m on ladders).
+    hyperplane fields take the finite-difference d.
     """
 
     chart: Chart
@@ -122,7 +124,6 @@ class DeformationFamily:
     table: dict = None
     alpha_of: object = None
     dalpha_of: object = None
-    direction: str = "s->0"
 
     @property
     def n(self):
@@ -146,13 +147,14 @@ class DeformationFamily:
     @classmethod
     def from_sequence(cls, chart, fields, omega, base_table, param="m",
                       tau_rank=1e-7, tau_pos=1e-9):
-        """``fields``: callable m -> FormFieldNum, sampled at integer m."""
+        """``fields``: callable m -> FormFieldNum, sampled at integer m
+        (a ladder value s reads m = round(1/s))."""
         param = sp.Symbol(param) if isinstance(param, str) else param
         base_h = HyperplaneField.from_symbolic(chart, base_table)
         if isinstance(omega, dict):
             omega = table_to_field(chart, omega, 2)
         base = ConfoliationData(base_h, omega, tau_rank, tau_pos)
-        fam = cls(chart, base, param, direction="m->inf")
+        fam = cls(chart, base, param)
         fam.alpha_of = lambda s: fields(2 ** 40 if s <= 0
                                         else max(1, round(1.0 / s)))
         return fam
@@ -164,13 +166,12 @@ class DeformationFamily:
 
     def base_consistency(self, samples, tau=1e-9):
         """alpha at s=0 spans the same line as beta at each sample."""
-        P = _points(samples, self.chart.dim)
-        r = _misalignments(_comp_rows(self.alpha_of(0.0), P),
-                           _comp_rows(self.base.h.alpha, P))
+        r = _misalignments(_comp_rows(self.alpha_of(0.0), samples),
+                           _comp_rows(self.base.h.alpha, samples))
         worst, witness = 0.0, None
-        for smp, ri in zip(samples, r.tolist()):
+        for p, ri in zip(samples, r.tolist()):
             if ri > worst:
-                worst, witness = ri, smp.point
+                worst, witness = ri, p
         status = PASS if worst <= tau else FAIL
         return Verdict(status, {"misalignment": worst}, witness,
                        "base direction residual")
@@ -178,16 +179,15 @@ class DeformationFamily:
 
 @dataclass
 class StratumData:
-    """Per-stratum inputs: the two-form mu_i with its extension over O_i,
-    the extended family zeta_s of top forms, and the target eta."""
+    """Per-stratum inputs: sample points on the stratum (rows of an array),
+    the two-form mu_i with its extension over O_i, the extended family
+    zeta_s of top forms, and the target eta."""
 
     order: int
-    samples: list = field(default_factory=list)
+    samples: np.ndarray
     mu: FormFieldNum = None
     mu_table: dict = None
-    zeta: object = None          # callable s -> FormFieldNum
     zeta_table: dict = None      # keys -> sympy in coords + param
-    eta: FormFieldNum = None
     eta_table: dict = None
 
 
@@ -225,10 +225,10 @@ def limit_inputs(fam: DeformationFamily, pf: PartitionedForm):
     """Stratum label -> (order, samples, zeta, eta, mu) on every non-contact
     stratum (2k+3 <= dim), in partition order.
 
-    zeta is ``zeta_table``, else ``zeta``, else the family's own top form
+    zeta is ``zeta_table``, else the family's own top form
     alpha_s ^ dalpha_s^(k+1) (the exact table of a symbolic family, the
     finite-difference callable otherwise).  eta is ``eta_table``, else
-    ``eta``, else beta ^ dbeta^k ^ mu.  mu is compiled from ``mu_table`` on
+    beta ^ dbeta^k ^ mu.  mu is compiled from ``mu_table`` on
     first use and kept on the StratumData; without either, mu is None and so
     is a default eta.
     """
@@ -238,7 +238,7 @@ def limit_inputs(fam: DeformationFamily, pf: PartitionedForm):
         k = sd.order
         if 2 * k + 3 > chart.dim:
             continue
-        zeta = sd.zeta_table if sd.zeta_table is not None else sd.zeta
+        zeta = sd.zeta_table
         if zeta is None:
             zeta = (table_top(chart, fam.table, k) if fam.table is not None
                     else _family_top(fam, k))
@@ -248,9 +248,9 @@ def limit_inputs(fam: DeformationFamily, pf: PartitionedForm):
 
 
 def stratum_eta(fam: DeformationFamily, sd: StratumData):
-    """A stratum's eta: ``eta_table``, else ``eta``, else beta ^ dbeta^k ^ mu
-    (None without a mu)."""
-    eta = sd.eta_table if sd.eta_table is not None else sd.eta
+    """A stratum's eta: ``eta_table``, else beta ^ dbeta^k ^ mu (None
+    without a mu)."""
+    eta = sd.eta_table
     mu = _stratum_mu(fam.chart, sd)
     if eta is None and mu is not None:
         eta = _beta_k(fam.base.h, sd.order).wedge(mu)
@@ -340,14 +340,14 @@ def practical_mu(fam: DeformationFamily, order, xbar, samples, tau=1e-9):
 
     # normalization against the base
     base_f = _beta_k(fam.base.h, k)
-    for smp in samples:
-        T = base_f.eval_at(smp.point)
+    for p in samples:
+        T = base_f.eval_at(p)
         for v in xbar:
             T = np.tensordot(v, T, axes=([0], [0]))
         if abs(float(T) - 1.0) > tau:
             raise ValueError(
                 f"normalization residual {abs(float(T) - 1.0):.3e} at "
-                f"{smp.point}: iota_Xbar(beta ^ dbeta^{k}) != 1")
+                f"{p}: iota_Xbar(beta ^ dbeta^{k}) != 1")
 
     if fam.table is not None:
         zt = table_top(chart, fam.table, k)
@@ -454,8 +454,8 @@ def _limit_symbolic(label, order, zeta, eta, samples, chart, param, tau):
     exponent = None
     for k in sorted(by_power):
         fld = table_to_field(chart, by_power[k])
-        mx = max((abs(v) for smp in samples
-                  for v in fld.components(smp.point).values()),
+        mx = max((abs(v) for p in samples
+                  for v in fld.components(p).values()),
                  default=0.0)
         if mx > tau:
             exponent, lead = k, fld
@@ -484,11 +484,11 @@ def _factor_fit(lead: FormFieldNum, eta, samples, tau, spread_tol, scale=1.0):
     if isinstance(eta, dict):
         eta = table_to_field(lead.chart, eta)
     ratios, resid = [], 0.0
-    for smp in samples:
-        zc = {k: v / scale for k, v in lead.components(smp.point).items()}
-        r, rs = _ratio_match(zc, eta.components(smp.point), tau)
+    for p in samples:
+        zc = {k: v / scale for k, v in lead.components(p).items()}
+        r, rs = _ratio_match(zc, eta.components(p), tau)
         if r is None:
-            return smp.point, None, None, None
+            return p, None, None, None
         ratios.append(r)
         resid = max(resid, rs)
     ratios = np.array(ratios)
@@ -502,8 +502,8 @@ def _limit_numeric(label, order, zeta, eta, samples, j_range, tau_num):
     svals = 2.0 ** (-js)
     slopes, r2s = [], []
     fields = [zeta(float(s)) for s in svals]
-    for smp in samples:
-        norms = np.array([_field_norm_at(f, smp.point) for f in fields])
+    for p in samples:
+        norms = np.array([_field_norm_at(f, p) for f in fields])
         if np.any(norms <= 0):
             return StratumLimit(label, order, None, None, np.array([]), 1.0,
                                 FAIL, message="family vanishes on the ladder")
@@ -618,15 +618,15 @@ def compat_check(c: ConfoliationData, pf: PartitionedForm, tau=None) -> Verdict:
             continue
         fields = _q_coeffs(c, sd, n)
         worst, wit, statuses = np.inf, None, []
-        for smp in sd.samples:
-            Q = {bm: coef * f.components(smp.point).get(top, 0.0)
+        for p in sd.samples:
+            Q = {bm: coef * f.components(p).get(top, 0.0)
                  for bm, (coef, f) in fields.items()}
             st, margin, detail = _q_point_verdict(Q, tau)
             statuses.append(st)
             if margin < worst:
                 worst = margin
             if st != PASS and wit is None:
-                wit = (lab, smp.point, detail)
+                wit = (lab, p, detail)
             if st == FAIL:
                 break
         if FAIL in statuses:
@@ -662,23 +662,21 @@ def approx_verdict(fam: DeformationFamily, pf: PartitionedForm, samples=None,
     chart, n = fam.chart, fam.n
     if samples is None:
         density = max(2, int(round(200 ** (1.0 / chart.dim))))
-        samples = sample_grid(chart, density, seed, margin=0.05)[:24]
+        samples = sample_prefix(chart, density, seed, 24, margin=0.05)
     rungs = [fam.alpha_of(s) for s in (2.0 ** -4, 2.0 ** -8, 2.0 ** -12)]
     h_probe = fam.hyperplane_at(s_probe)
 
     # components of the base, the probe and each rung at every point, each
     # field evaluated once on all of them; a nan or infinite one would turn
     # every margin below into nan
-    points = list(samples) + [smp for sd in pf.strata.values()
-                              for smp in sd.samples]
-    P = _points(points, chart.dim)
+    P = np.concatenate([samples, *(sd.samples for sd in pf.strata.values())])
     comps = [_comp_rows(f, P)
              for f in [fam.base.h.alpha, h_probe.alpha] + rungs]
     finite = np.logical_and.reduce([np.isfinite(c).all(axis=1)
                                     for c, _ in comps])
     if not finite.all():
         rep = ConformalLimitReport(status=FAIL)
-        rep.verdict = Verdict(FAIL, {}, points[int(np.argmin(finite))].point,
+        rep.verdict = Verdict(FAIL, {}, P[int(np.argmin(finite))],
                               "alpha is not finite at the witness")
         return rep
 
@@ -686,8 +684,8 @@ def approx_verdict(fam: DeformationFamily, pf: PartitionedForm, samples=None,
     sub["base"] = fam.base_consistency(samples, tau=max(tau, 1e-9))
 
     m = len(samples)
-    bad = [s.point for s, res in zip(samples, order_at(
-        h_probe, P[:m], fam.base.tau_rank)) if res.k != n]
+    bad = [p for p, res in zip(samples, order_at(
+        h_probe, samples, fam.base.tau_rank)) if res.k != n]
     sub["contact"] = Verdict(PASS if not bad else FAIL,
                              {"noncontact_points": len(bad)},
                              bad[0] if bad else None,
@@ -717,9 +715,8 @@ def approx_verdict(fam: DeformationFamily, pf: PartitionedForm, samples=None,
             a_sub[lab] = Verdict(FAIL, message=f"stratum {lab} missing mu")
             continue
         anchor = _beta_k(fam.base.h, k).wedge(mu)
-        low = min(_field_norm_at(anchor, smp.point) for smp in samples_i)
-        scale = max(_field_norm_at(fam.base.h.alpha, smp.point)
-                    for smp in samples_i)
+        low = min(_field_norm_at(anchor, p) for p in samples_i)
+        scale = max(_field_norm_at(fam.base.h.alpha, p) for p in samples_i)
         a_sub[lab] = Verdict(PASS if low > tau * scale else FAIL,
                              {"min_norm": low}, None,
                              f"beta ^ dbeta^{k} ^ mu nonzero on stratum")

@@ -9,6 +9,8 @@ trailing arguments, into numeric fields whose coefficients are callables on
 the coordinate array.  The rest is pointwise plumbing for the verifiers:
 central-difference d (the lane that cross-checks the exact ``table_d``),
 finite-difference pullbacks, short-time RK4 flows and seeded sample grids.
+A sample set is an ``(N, dim)`` float array, one point per row;
+``sample_prefix`` orders a grid so that every prefix covers the box.
 
 Evaluation contract.  A coefficient callable takes the coordinates with the
 chart coordinate on the first axis: an array of shape ``(dim,)`` for one
@@ -35,10 +37,6 @@ import numpy as np
 import sympy as sp
 from sympy.printing.numpy import NumPyPrinter
 
-from confolkit.grassmann import ScalarExpr
-
-DEFAULT_TAU_RANK = 1e-7
-DEFAULT_TAU_POS = 1e-9
 H_FRACTION = 1e-4   # finite-difference step as a fraction of the box diameter
 
 
@@ -102,18 +100,6 @@ class Chart:
 
     def symbols(self):
         return sp.symbols(self.names)
-
-
-@dataclass(frozen=True)
-class PointSample:
-    point: np.ndarray
-    tau_rank: float = DEFAULT_TAU_RANK
-    tau_pos: float = DEFAULT_TAU_POS
-    h: float = 1e-4
-
-    def __post_init__(self):
-        if not (self.tau_rank > 0 and self.tau_pos > 0 and self.h > 0):
-            raise ValueError("tolerances must be strictly positive")
 
 
 @functools.cache
@@ -267,8 +253,7 @@ def _canon_table(chart, table):
                     for k in key)
         if list(key) != sorted(set(key)):
             raise ValueError(f"table key {key} is not sorted distinct")
-        e = e.expr if isinstance(e, ScalarExpr) else sp.sympify(e)
-        out[key] = out.get(key, 0) + e
+        out[key] = out.get(key, 0) + sp.sympify(e)
     return out
 
 
@@ -501,9 +486,9 @@ def flow_rk4(X, p0, t, step=None, chart=None):
     return p
 
 
-def sample_grid(chart, density, seed, tau_rank=DEFAULT_TAU_RANK,
-                tau_pos=DEFAULT_TAU_POS, margin=0.0):
-    """Deterministic jittered grid: density points per axis, seeded jitter.
+def sample_grid(chart, density, seed, margin=0.0):
+    """Deterministic jittered grid: density points per axis, seeded jitter;
+    the density^dim points as the rows of an array, in grid-cell order.
 
     Periodic coordinates sample the half-open fundamental interval so 0 and
     the period never both appear.  ``margin`` shrinks non-periodic intervals
@@ -523,7 +508,6 @@ def sample_grid(chart, density, seed, tau_rank=DEFAULT_TAU_RANK,
         centers = 0.5 * (edges[:-1] + edges[1:])
         cell = edges[1] - edges[0]
         axes.append((centers, cell))
-    h = chart.default_h()
     # grid cells in itertools.product order, one jitter row per cell: the
     # same draws, in the same order, as one uniform call per coordinate
     cells = np.indices((density,) * chart.dim).reshape(chart.dim, -1).T
@@ -531,5 +515,24 @@ def sample_grid(chart, density, seed, tau_rank=DEFAULT_TAU_RANK,
     centers = np.stack([axes[i][0][cells[:, i]] for i in range(chart.dim)],
                        axis=1)
     widths = np.array([0.3 * cell for _, cell in axes])
-    points = chart.lift(centers + widths * jitter)
-    return [PointSample(p, tau_rank, tau_pos, h) for p in points]
+    return chart.lift(centers + widths * jitter)
+
+
+def sample_prefix(chart, density, seed, count, margin=0.0):
+    """The first ``count`` points of ``sample_grid(chart, density, seed,
+    margin)`` in an order that covers the box at every prefix.
+
+    The grid cells split into density^(dim-1) wrapped diagonals
+    {(t, t + b_1, ..., t + b_(dim-1)) mod density : t}, each meeting every
+    slab of every coordinate once; the points go diagonal by diagonal, the
+    diagonals in a seeded order.  So a prefix of k * density points meets
+    each slab of each coordinate k times, and its range in a coordinate
+    spans all but at most 1.6 cells (the jitter is 0.3 cell) of the
+    sampled interval.
+    """
+    points = sample_grid(chart, density, seed, margin)
+    cells = np.indices((density,) * chart.dim).reshape(chart.dim, -1).T
+    offsets = (cells[:, 1:] - cells[:, :1]) % density
+    diagonal = offsets @ density ** np.arange(chart.dim - 1)
+    rank = np.random.default_rng(seed).permutation(density ** (chart.dim - 1))
+    return points[np.lexsort((cells[:, 0], rank[diagonal]))[:count]]

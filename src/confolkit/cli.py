@@ -52,8 +52,8 @@ from sympy.core.function import AppliedUndef
 
 from . import __version__
 from . import gallery as _gallery
-from .chartfield import (Chart, PointSample, _canon_table, sample_grid,
-                         table_to_field, table_top)
+from .chartfield import (Chart, _canon_table, sample_prefix, table_to_field,
+                         table_top)
 from .conetame import FAIL, PASS, UNDETERMINED
 from .confolcheck import (ConfoliationData, HyperplaneField,
                           StableHamiltonianPair, Verdict, confoliation_check,
@@ -648,16 +648,15 @@ class _Parser:
                     self.fail(f"'{gname}' is a formal generator; checks "
                               "need coordinate differentials only", tok)
                 idx.append(self.chart.index(cname))
-            e = coeff.expr if hasattr(coeff, "expr") else sp.sympify(coeff)
-            bad = set(e.free_symbols) - allowed
-            if bad or e.atoms(AppliedUndef):
+            bad = set(coeff.free_symbols) - allowed
+            if bad or coeff.atoms(AppliedUndef):
                 what = ", ".join(sorted(str(b) for b in bad)
                                  or sorted(str(f) for f in
-                                           e.atoms(AppliedUndef)))
+                                           coeff.atoms(AppliedUndef)))
                 self.fail(f"coefficient depends on abstract quantities "
                           f"({what}); checks need closed-form coordinates",
                           tok)
-            table[tuple(idx)] = e
+            table[tuple(idx)] = coeff
         return _canon_table(self.chart, table)
 
     def elaborate_check(self, stmt, at, bt):
@@ -789,10 +788,7 @@ def default_flags(**over):
 
 def _chart_samples(chart, flags):
     density = max(2, math.ceil(flags.samples ** (1.0 / chart.dim)))
-    pts = sample_grid(chart, density, flags.seed, tau_rank=flags.tol_rank,
-                      tau_pos=flags.tol_pos, margin=0.05)
-    return [PointSample(p.point, flags.tol_rank, flags.tol_pos,
-                        flags.fd_step) for p in pts[:flags.samples]]
+    return sample_prefix(chart, density, flags.seed, flags.samples, margin=0.05)
 
 
 def _nelder_mead(f, x0, xatol, fatol, maxiter):
@@ -862,7 +858,8 @@ def _locate_stratum(chart, base_h, order, flags, limit=6):
     """Points where the base degenerates to the given order, found by
     driving |beta ^ dbeta^(order+1)|^2 to zero from seeded starts.
 
-    Returns (points, the smallest value of that square reached)."""
+    Returns (the points as the rows of an array, the smallest value of that
+    square reached)."""
     top = table_top(chart, base_h.symbolic_table, order)
     fld = table_to_field(chart, top)
     lo = np.array([b[0] for b in chart.box])
@@ -876,21 +873,18 @@ def _locate_stratum(chart, base_h, order, flags, limit=6):
         return sum(v * v for v in fld.components(x).values())
 
     found, reached = [], math.inf
-    for smp in sample_grid(chart, 3, flags.seed + 17 * order,
-                           margin=0.1)[:20]:
-        x, fx = _nelder_mead(g, smp.point, xatol=1e-12, fatol=1e-24,
-                             maxiter=4000)
+    for x0 in sample_prefix(chart, 3, flags.seed + 17 * order, 20, margin=0.1):
+        x, fx = _nelder_mead(g, x0, xatol=1e-12, fatol=1e-24, maxiter=4000)
         reached = min(reached, fx)
         q = np.clip(x, inner_lo, inner_hi)
         if order_at(base_h, q, flags.tol_rank).k != order:
             continue
-        if any(np.linalg.norm(q - f.point) < 1e-3 for f in found):
+        if any(np.linalg.norm(q - f) < 1e-3 for f in found):
             continue
-        found.append(PointSample(q, flags.tol_rank, flags.tol_pos,
-                                 flags.fd_step))
+        found.append(q)
         if len(found) >= limit:
             break
-    return found, reached
+    return np.array(found).reshape(-1, chart.dim), reached
 
 
 def _run_approx(doc, entry, flags):
@@ -902,7 +896,7 @@ def _run_approx(doc, entry, flags):
     for _, order, table in doc.extends:
         pts, reached[order] = _locate_stratum(doc.chart, fam.base.h, order,
                                               flags)
-        if not pts:
+        if not len(pts):
             missing.append(order)
             continue
         strata[order] = StratumData(order=order, samples=pts,
@@ -934,7 +928,8 @@ def _run_shs(doc, entry, flags):
     lam = table_to_field(doc.chart, tab_a, 1)
     om = table_to_field(doc.chart, tab_b, 2)
     pair = StableHamiltonianPair(lam, om, doc.chart)
-    return shs_check(pair, _chart_samples(doc.chart, flags)), None
+    return shs_check(pair, _chart_samples(doc.chart, flags),
+                     h=flags.fd_step), None
 
 
 def _run_gallery(doc, entry, flags):

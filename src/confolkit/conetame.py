@@ -23,12 +23,13 @@ from fractions import Fraction
 
 import numpy as np
 
-from confolkit.chartfield import DEFAULT_TAU_POS, DEFAULT_TAU_RANK
 
 PASS = "PASS"
 FAIL = "FAIL"
 UNDETERMINED = "UNDETERMINED"
 
+DEFAULT_TAU_RANK = 1e-7
+DEFAULT_TAU_POS = 1e-9
 DEFAULT_TAU_ANGLE = 1e-6
 _COEFF_TRUNC = 1e-12     # relative truncation of pencil polynomial coefficients
 RAY_TOL = 1e-8           # roots closer than this to the ray: UNDETERMINED

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import sympy as sp
 
-from .chartfield import (Chart, FormFieldNum, PointSample, d_fd, sample_grid,
+from .chartfield import (Chart, FormFieldNum, d_fd, sample_prefix,
                          table_to_field)
 from .conetame import FAIL, PASS, SkewPair, kernel_with_tol, split_cotamed_J
 from .confolcheck import (
@@ -122,7 +122,7 @@ def _r5_chart():
 
 
 def _pts(*rows):
-    return [PointSample(np.array(r, dtype=float)) for r in rows]
+    return np.array(rows, dtype=float)
 
 
 def _exponent_agreement(fam, pf, rep=None, j_range=(4, 16)):
@@ -583,7 +583,7 @@ def _build_branched_cover(k=2, eps=1.0, seed=0):
         {("r", "theta"): 2 * k * rr}, param="s")
     small_r = _pts((0.1, 0.05, 1.0), (-0.3, 0.08, 2.5),
                    (0.4, 0.12, 4.2), (0.0, 0.2, 0.7))
-    bulk = sample_grid(chart, 3, seed)[:12]
+    bulk = sample_prefix(chart, 3, seed, 12)
     pf = PartitionedForm({
         "bulk": StratumData(order=1, samples=bulk)})
     zt = {(0, 1, 2): 2 * _s * e * rr}
@@ -591,13 +591,14 @@ def _build_branched_cover(k=2, eps=1.0, seed=0):
 
     def contact_family_check():
         h1 = fam.base
+        points = np.concatenate([bulk, small_r])
         bad = []
         for sv in (0.25, 0.5, 1.0):
             hs = fam.hyperplane_at(sv)
-            for smp in bulk + small_r:
-                if order_at(hs, smp.point, h1.tau_rank).k != 1:
-                    bad.append((sv, smp.point))
-        return _bool_verdict(not bad, {"checked": 3 * len(bulk + small_r)},
+            for p in points:
+                if order_at(hs, p, h1.tau_rank).k != 1:
+                    bad.append((sv, p))
+        return _bool_verdict(not bad, {"checked": 3 * len(points)},
                              "pullback family is contact for s in (0, 1]")
 
     def conformal_limit_check():
@@ -678,7 +679,8 @@ def _build_mnw(n=1, k=1, seed=0):
              rng.uniform(0.3, 6.0)]
         for __ in range(n):
             p.extend([rng.uniform(-0.45, 0.45), rng.uniform(0.3, 6.0)])
-        samples.append(PointSample(np.array(p)))
+        samples.append(p)
+    samples = np.array(samples)
     pf = PartitionedForm({
         "pages": StratumData(order=0, samples=samples, mu_table=mu_tab)})
 
@@ -721,16 +723,16 @@ def _openbook_entry(name, n, delta, seed, note):
 
     def cotamed():
         worst = None
-        for smp in samples:
-            xi = pair.h.xi_basis(smp.point)
-            mu_xi = xi.restrict(pair.Omega.eval_at(smp.point))
-            da_xi = xi.restrict(pair.h.dalpha.eval_at(smp.point))
+        for p in samples:
+            xi = pair.h.xi_basis(p)
+            mu_xi = xi.restrict(pair.Omega.eval_at(p))
+            da_xi = xi.restrict(pair.h.dalpha.eval_at(p))
             K = kernel_with_tol(da_xi)
             if K.status != PASS:
-                return Verdict(K.status, {}, smp.point, "kernel extraction")
+                return Verdict(K.status, {}, p, "kernel extraction")
             _, status = split_cotamed_J(SkewPair(mu_xi, da_xi), K.subspace)
             if status != PASS:
-                return Verdict(status, {}, smp.point, "no split cotamed J")
+                return Verdict(status, {}, p, "no split cotamed J")
             worst = status
         return Verdict(worst or FAIL, {"samples": len(samples)}, None,
                        "split cotamed J at every sample")
@@ -814,8 +816,8 @@ def _build_ob_deformation(delta=1.0, seed=0):
         chart, {"x": fs, "theta": gs},
         {("r", "theta"): h, ("x", "r"): lp}, param="s")
 
-    def smp(rv):
-        return PointSample(np.array([1.1, rv * delta, 2.3]))
+    def at(*rvs):
+        return np.array([[1.1, rv * delta, 2.3] for rv in rvs])
 
     fhat = (1 - _s) + _s * f1
     ghat = _s * g1
@@ -823,15 +825,14 @@ def _build_ob_deformation(delta=1.0, seed=0):
     gtil = (1 - _s) + _s * g1
     pf = PartitionedForm({
         "g0-zero": StratumData(
-            order=0, samples=[smp(v) for v in (0.05, 0.12, 0.2, 0.28)],
+            order=0, samples=at(0.05, 0.12, 0.2, 0.28),
             mu_table={("r", "theta"): f0 * sp.diff(g1, r) * r},
             zeta_table={(0, 1, 2): fhat * sp.diff(ghat, r)
                         - ghat * sp.diff(fhat, r)},
             eta_table={(0, 1, 2): sp.diff(g1, r) * r}),
-        "band": StratumData(order=1,
-                            samples=[smp(v) for v in (0.35, 0.45, 0.55)]),
+        "band": StratumData(order=1, samples=at(0.35, 0.45, 0.55)),
         "f0-zero": StratumData(
-            order=0, samples=[smp(v) for v in (0.65, 0.72, 0.85, 0.95)],
+            order=0, samples=at(0.65, 0.72, 0.85, 0.95),
             mu_table={("x", "r"): -sp.diff(f1, r)},
             zeta_table={(0, 1, 2): ftil * sp.diff(gtil, r)
                         - gtil * sp.diff(ftil, r)},
@@ -847,7 +848,7 @@ def _build_ob_deformation(delta=1.0, seed=0):
         rep = report()
         g0z = rep.strata["g0-zero"]
         f0z = rep.strata["f0-zero"]
-        rs = np.array([s_.point[1] for s_ in pf.strata["g0-zero"].samples])
+        rs = pf.strata["g0-zero"].samples[:, 1]
         ok = (g0z.status == PASS and g0z.exponent == 1
               and g0z.factor_coeff is None
               and np.allclose(g0z.factor_values, rs, atol=1e-7)
@@ -993,9 +994,9 @@ def _build_product_blob(seed=2):
             "fiber": lambda p: e[:, [0, 3, 5]],
         })
     rng = np.random.default_rng(seed)
-    samples = [PointSample(np.array([rv, rng.uniform(0, 6),
-                                     rng.uniform(0, 6), rng.uniform(0, 6)]))
-               for rv in (0.2, 0.25, 0.8, 1.5, 2.4, 3.0)]
+    samples = np.array([[rv, rng.uniform(0, 6), rng.uniform(0, 6),
+                         rng.uniform(0, 6)]
+                        for rv in (0.2, 0.25, 0.8, 1.5, 2.4, 3.0)])
     Om = mu + d_fd(gamma)
 
     items = functools.cache(

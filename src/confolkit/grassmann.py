@@ -158,90 +158,6 @@ def scalar_is_zero(expr):
     return False
 
 
-class ScalarExpr:
-    """Immutable wrapper enforcing the exact scalar contract."""
-
-    __slots__ = ("expr",)
-
-    def __init__(self, expr):
-        e = sp.sympify(expr)
-        _check_fragment(e)
-        object.__setattr__(self, "expr", e)
-
-    def __setattr__(self, *a):
-        raise AttributeError("ScalarExpr is immutable")
-
-    # -- ring operations ---------------------------------------------------
-    def _coerce(self, other):
-        return other.expr if isinstance(other, ScalarExpr) else sp.sympify(other)
-
-    def __add__(self, other):
-        return ScalarExpr(self.expr + self._coerce(other))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return ScalarExpr(self.expr - self._coerce(other))
-
-    def __rsub__(self, other):
-        return ScalarExpr(self._coerce(other) - self.expr)
-
-    def __mul__(self, other):
-        return ScalarExpr(self.expr * self._coerce(other))
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return ScalarExpr(-self.expr)
-
-    def __pow__(self, k):
-        if not isinstance(k, int) or k < 0:
-            raise ValueError("only non-negative integer powers are defined")
-        return ScalarExpr(self.expr ** k)
-
-    def div(self, other, *, nonzero=False):
-        """Divide; the caller must assert the divisor nonzero unless it is a
-        nonzero rational constant."""
-        o = self._coerce(other)
-        if not nonzero:
-            if not (o.is_Rational and o != 0):
-                raise ValueError(
-                    "division requires nonzero=True (caller asserts the divisor "
-                    "does not vanish) unless the divisor is a nonzero rational")
-        elif scalar_is_zero(o):
-            raise ZeroDivisionError("divisor is identically zero")
-        return ScalarExpr(self.expr / o)
-
-    def diff(self, x):
-        return ScalarExpr(sp.diff(self.expr, x))
-
-    def subs(self, mapping):
-        return ScalarExpr(sp.sympify(self.expr).subs(mapping).doit())
-
-    # -- queries -----------------------------------------------------------
-    def is_zero(self):
-        try:
-            return scalar_is_zero(self.expr)
-        except UnsupportedScalar:
-            return UNDECIDED
-
-    def equals(self, other):
-        try:
-            return scalar_is_zero(self.expr - self._coerce(other))
-        except UnsupportedScalar:
-            return UNDECIDED
-
-    def canonical(self):
-        num, den = _canon_num_den(self.expr)
-        return num / den if den != 1 else num
-
-    def __repr__(self):
-        return f"ScalarExpr({self.expr})"
-
-    def __str__(self):
-        return str(self.canonical())
-
-
 # --------------------------------------------------------------------------
 # the coefficient ring under FormExpr
 # --------------------------------------------------------------------------
@@ -707,7 +623,7 @@ class FormAlgebra:
         return FormExpr(self, {})
 
     def scalar_form(self, c):
-        c = c.expr if isinstance(c, ScalarExpr) else sp.sympify(c)
+        c = sp.sympify(c)
         return FormExpr(self, {(): c})
 
     def d_of_gen(self, idx):
@@ -808,7 +724,7 @@ class FormExpr:
         return FormExpr(self.alg, {k: _neg(c) for k, c in self._terms.items()})
 
     def __mul__(self, c):
-        c = c.expr if isinstance(c, ScalarExpr) else sp.sympify(c)
+        c = sp.sympify(c)
         ring = self.alg.ring
         s = ring.from_expr(c)
         # an opaque side takes sympy's product with c as written, which may
@@ -928,7 +844,7 @@ class FormExpr:
             if isinstance(val, FormExpr):
                 table[g.index] = alg.own(val)._terms
             else:
-                v = val.expr if isinstance(val, ScalarExpr) else sp.sympify(val)
+                v = sp.sympify(val)
                 if g.degree == 1:
                     table[g.index] = {(): alg.ring.from_expr(v)}
                 else:

@@ -13,7 +13,7 @@ import pytest
 import sympy as sp
 
 from confolkit import gallery
-from confolkit.chartfield import Chart, FormFieldNum, PointSample
+from confolkit.chartfield import Chart, FormFieldNum
 from confolkit.conetame import FAIL, PASS, UNDETERMINED
 from confolkit.approx import (
     DeformationFamily,
@@ -39,8 +39,7 @@ TOP5 = (0, 1, 2, 3, 4)
 
 
 def pts(*coords):
-    return [PointSample(np.array(c, dtype=float), 1e-7, 1e-9,
-                        R5.default_h()) for c in coords]
+    return np.array(coords, dtype=float)
 
 
 GENERIC = pts((0.5, -0.3, 0.2, 0.4, 0.1), (-0.6, 0.2, -0.5, 0.3, -0.2),
@@ -151,7 +150,6 @@ def test_family_from_sequence_base():
         R5, fields, {("x1", "y1"): 1}, lam, param="m")
     v = fam.base_consistency(GENERIC, tau=1e-9)
     assert v.status == PASS
-    assert fam.direction == "m->inf"
 
 
 @pytest.mark.parametrize("name", ["r5-cubic", "r5-flat-negative",
@@ -163,7 +161,7 @@ def test_compiled_family_matches_substituted_table(name):
     structures = gallery.build(name).structures
     fam, pf = structures["family"], structures["partition"]
     chart = fam.chart
-    points = [smp.point for sd in pf.strata.values() for smp in sd.samples]
+    points = np.concatenate([sd.samples for sd in pf.strata.values()])
     for sv in (0.0, 2.0 ** -12, 0.25):
         tab = {k: e.subs(fam.param, sv) for k, e in fam.table.items()}
         pairs = ((fam.alpha_of(sv), table_to_field(chart, tab, 1)),
@@ -251,7 +249,7 @@ def test_conformal_limit_pointwise_weight():
     lim = rep.strata[0]
     assert lim.status == PASS and lim.exponent == 1
     assert lim.factor_coeff is None
-    expect = np.array([p.point[2] ** 2 for p in GENERIC])
+    expect = GENERIC[:, 2] ** 2
     assert np.allclose(lim.factor_values, expect, rtol=1e-9)
 
 
@@ -309,7 +307,7 @@ def test_compat_rank2_determinant_oracle():
     p = GENERIC[0]
     vol_anchor = base_h.alpha.wedge(base_h.dalpha).wedge(
         table_to_field(R5, {("x1", "y1"): 1}, 2))
-    sigma = math.copysign(1.0, vol_anchor.components(p.point)[TOP5])
+    sigma = math.copysign(1.0, vol_anchor.components(p)[TOP5])
     agree = checked = 0
     for _ in range(60):
         w = rng.normal(size=(5, 5)); w = w - w.T
@@ -321,7 +319,7 @@ def test_compat_rank2_determinant_oracle():
             (i, j): (lambda v: lambda q: v)(m[i, j])
             for i in range(5) for j in range(i + 1, 5)})
         c = ConfoliationData(base_h, omega)
-        pf = PartitionedForm({1: StratumData(order=1, samples=[p], mu=mu)})
+        pf = PartitionedForm({1: StratumData(order=1, samples=p[None], mu=mu)})
         got = compat_check(c, pf).status
         oracle = (sigma * w[0, 1] > 1e-9 and sigma * m[0, 1] > 1e-9)
         if got == UNDETERMINED:
@@ -402,9 +400,9 @@ def test_stratum_without_mu_fails_item_c():
 R3 = Chart(("x", "y", "z"), ((-1.0, 1.0),) * 3)
 x, y = sp.symbols("x y")
 # seven pooled samples; positions 2 and 5 have x = 3/5 and 7/10
-ORDERED = [PointSample(np.array(c)) for c in (
+ORDERED = pts(
     (-0.9, 0.1, 0.0), (-0.6, 0.2, 0.1), (0.6, 0.3, 0.2), (-0.3, 0.4, 0.3),
-    (0.0, 0.5, 0.4), (0.7, 0.6, 0.5), (0.2, 0.7, 0.6))]
+    (0.0, 0.5, 0.4), (0.7, 0.6, 0.5), (0.2, 0.7, 0.6))
 
 
 def test_contact_spot_check_witness_is_the_first_noncontact_sample():
@@ -418,7 +416,7 @@ def test_contact_spot_check_witness_is_the_first_noncontact_sample():
     contact = rep.verdict.sub["contact"]
     assert contact.status == FAIL
     assert contact.margins == {"noncontact_points": 2}
-    np.testing.assert_array_equal(contact.witness, ORDERED[2].point)
+    np.testing.assert_array_equal(contact.witness, ORDERED[2])
 
 
 def test_first_bad_pooled_sample_names_its_cause():
@@ -432,7 +430,7 @@ def test_first_bad_pooled_sample_names_its_cause():
     rep = approx_verdict(fam, PartitionedForm({}), samples=ORDERED)
     assert rep.verdict.status == FAIL
     assert rep.verdict.message == "alpha is not finite at the witness"
-    np.testing.assert_array_equal(rep.verdict.witness, ORDERED[3].point)
+    np.testing.assert_array_equal(rep.verdict.witness, ORDERED[3])
 
 
 def test_approx_reparameterization_invariance():

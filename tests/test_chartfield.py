@@ -10,12 +10,12 @@ from hypothesis import given, settings, strategies as st
 from confolkit.chartfield import (
     Chart,
     FormFieldNum,
-    PointSample,
     compile_table,
     d_fd,
     flow_rk4,
     pullback,
     sample_grid,
+    sample_prefix,
 )
 from confolkit.grassmann import FormAlgebra
 
@@ -169,19 +169,13 @@ def test_sample_grid_reproducible_and_wrapping():
     ch = Chart(("theta", "x"), ((0, 2 * np.pi), (0, 1)), periodic=("theta",))
     a = sample_grid(ch, 2, seed=5)
     b = sample_grid(ch, 2, seed=5)
-    assert len(a) == 4
-    for s, t in zip(a, b):
-        np.testing.assert_array_equal(s.point, t.point)
-    thetas = sorted(s.point[0] for s in a)
+    assert a.shape == (4, 2)
+    np.testing.assert_array_equal(a, b)
+    thetas = sorted(a[:, 0])
     assert all(0 <= th < 2 * np.pi for th in thetas)
     assert len({round(th, 9) for th in thetas}) == len(thetas)
     c = sample_grid(ch, 2, seed=6)
-    assert any(not np.allclose(s.point, t.point) for s, t in zip(a, c))
-
-
-def test_point_sample_tolerances_positive():
-    with pytest.raises(ValueError):
-        PointSample(np.zeros(2), tau_rank=0.0)
+    assert any(not np.allclose(p, q) for p, q in zip(a, c))
 
 
 def test_mnw_like_exponential_coefficient():
@@ -299,4 +293,33 @@ def test_sample_grid_draws_one_jitter_per_coordinate(density):
     got = sample_grid(ch, density, 9, margin=0.05)
     assert len(got) == len(ref)
     for s, p in zip(got, ref):
-        assert s.point.tobytes() == p.tobytes()
+        assert s.tobytes() == p.tobytes()
+
+
+@settings(max_examples=30, deadline=None)
+@given(dim=st.integers(1, 4), density=st.integers(2, 5),
+       seed=st.integers(0, 2**32 - 1), periodic=st.booleans())
+def test_every_sample_prefix_covers_the_box(dim, density, seed, periodic):
+    names = tuple(f"u{i}" for i in range(dim))
+    box = tuple((-1.0 - i, 2.0 + 3 * i) for i in range(dim))
+    ch = Chart(names, box, periodic=names[:1] if periodic else ())
+    margin = 0.05
+    cells = density ** dim
+    P = sample_prefix(ch, density, seed, cells, margin)
+    # a reordering of the whole grid, and every count is a prefix of it
+    grid = sample_grid(ch, density, seed, margin)
+    assert sorted(map(tuple, P)) == sorted(map(tuple, grid))
+    count = cells // 2 + 1
+    np.testing.assert_array_equal(
+        sample_prefix(ch, density, seed, count, margin), P[:count])
+    lo = np.array([a + (0 if n in ch.periodic else margin * (b - a))
+                   for n, (a, b) in zip(names, box)])
+    width = np.array([b - a for a, b in box]) - 2 * (lo - [a for a, _ in box])
+    slab = np.minimum((P - lo) // (width / density), density - 1)
+    for n in range(density, cells + 1):
+        # each coordinate meets all of its slabs, so its range spans all
+        # but at most 1.6 of the density cells (the jitter is 0.3 cell)
+        for i in range(dim):
+            assert len(set(slab[:n, i])) == density
+        span = P[:n].max(axis=0) - P[:n].min(axis=0)
+        assert np.all(span >= (density - 1.6) / density * width - 1e-12)

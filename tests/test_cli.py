@@ -47,6 +47,24 @@ check confoliation alpha W
 check shs lam W
 """
 
+# ||d om|| = sqrt(6)/10 ~ 0.245 lies between the shs closedness bands
+# 1000 h of h = 1e-4 and h = 1e-3
+SHS_BAND_DOC = """\
+chart x y z
+form lam = dz
+form om = (1 + z / 10) * dx ^ dy
+check shs lam om
+"""
+
+# mu + t dalpha = (1 + t (3/5 - x)) dx ^ dy degenerates for some t > 0
+# wherever x > 3/5: a FAIL at every sample budget
+EDGE_DOC = """\
+chart x y z
+form alpha = dz + (3/5 * x - x^2 / 2) * dy
+form W = dx ^ dy
+check confoliation alpha W
+"""
+
 # the declared stratum order never occurs for this base, so the runner
 # cannot place samples and must report UNDETERMINED
 GHOST_STRATUM_DOC = """\
@@ -667,11 +685,24 @@ def test_exit_code_precedence():
     assert rep().exit_code == 0
 
 
+@pytest.mark.parametrize("samples", [24, 100, 384, 1000])
+def test_every_sample_budget_reaches_the_far_edge(samples):
+    rep = run(parse(EDGE_DOC), default_flags(samples=samples))
+    assert rep.exit_code == 1
+    assert rep.entries[0]["detail"]["verdict"]["witness"][0] > 0.6
+
+
 def test_sample_budget_respects_flags():
     doc = parse(TUBE_DOC)
     pts = cli._chart_samples(doc.chart, default_flags(samples=10, fd_step=1e-3))
     assert len(pts) == 10
-    assert all(p.h == 1e-3 for p in pts)
+    # --fd-step reaches the shs bands through shs_check(h=...)
+    doc = parse(SHS_BAND_DOC)
+    closed = {h: run(doc, default_flags(fd_step=h)).entries[0]
+              for h in (1e-4, 1e-3)}
+    assert closed[1e-4]["status"] == FAIL
+    assert closed[1e-4]["message"].startswith("omega not closed")
+    assert closed[1e-3]["status"] == PASS
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 import sympy as sp
 
-from confolkit.chartfield import Chart, FormFieldNum, PointSample, d_fd
+from confolkit.chartfield import Chart, FormFieldNum, d_fd
 from confolkit.conetame import (
     FAIL,
     PASS,
@@ -63,7 +63,7 @@ def flat_field():
 
 
 def pts(*coords):
-    return [PointSample(np.array(c, dtype=float)) for c in coords]
+    return np.array(coords, dtype=float)
 
 
 SAMPLES = pts((0.3, -0.2, 0.4, 0.1, 0.0), (-0.6, 0.5, -0.1, 0.7, 0.2),
@@ -76,19 +76,19 @@ SAMPLES = pts((0.3, -0.2, 0.4, 0.1, 0.0), (-0.6, 0.5, -0.1, 0.7, 0.2),
 
 def test_order_at_basic_fields():
     h = darboux_field()
-    for s in SAMPLES:
-        res = order_at(h, s.point)
+    for p in SAMPLES:
+        res = order_at(h, p)
         assert res.status == PASS and res.k == 2
     h0 = flat_field()
-    assert order_at(h0, SAMPLES[0].point).k == 0
+    assert order_at(h0, SAMPLES[0]).k == 0
     hc = cubic_field()
     assert order_at(hc, np.array([0.0, 0.2, 0.3, -0.1, 0.0])).k == 1
     assert order_at(hc, np.array([0.6, 0.2, 0.3, -0.1, 0.0])).k == 2
 
 
 def test_char_dist_dimensions_and_cubic_kernel():
-    assert char_dist_at(darboux_field(), SAMPLES[0].point).subspace.dim == 0
-    K = char_dist_at(flat_field(), SAMPLES[0].point)
+    assert char_dist_at(darboux_field(), SAMPLES[0]).subspace.dim == 0
+    K = char_dist_at(flat_field(), SAMPLES[0])
     assert K.subspace.dim == 4
     Kc = char_dist_at(cubic_field(), np.zeros(5))
     assert Kc.subspace.dim == 2
@@ -124,7 +124,7 @@ def test_rank_stratify_two_strata_and_product():
     hp = HyperplaneField.from_symbolic(R5, {"z": 1, "y1": x1})
     strata_p, _ = rank_stratify(hp, grid)
     assert set(strata_p) == {1}
-    assert char_dist_at(hp, grid[0].point).subspace.dim == 2
+    assert char_dist_at(hp, grid[0]).subspace.dim == 2
 
 
 # ---------------------------------------------------------------------------
@@ -137,7 +137,8 @@ def mu_field(table):
 
 def test_confoliation_cubic_pass():
     c = ConfoliationData(cubic_field(), mu_field({("x1", "y1"): 1}))
-    v = confoliation_check(c, SAMPLES + pts((0.0, 0.1, 0.2, 0.3, 0.0)))
+    v = confoliation_check(
+        c, np.concatenate([SAMPLES, pts((0.0, 0.1, 0.2, 0.3, 0.0))]))
     assert v.status == PASS, v.message
 
 
@@ -197,8 +198,9 @@ def test_confoliation_witness_is_the_first_failing_sample():
     v = confoliation_check(c, ORDERED)
     assert v.status == FAIL
     assert v.message.startswith("pencil: pencil degenerates at t=1")
-    np.testing.assert_array_equal(v.witness, ORDERED[2].point)
-    assert confoliation_check(c, ORDERED[:2] + ORDERED[3:5]).status == PASS
+    np.testing.assert_array_equal(v.witness, ORDERED[2])
+    assert confoliation_check(
+        c, np.concatenate([ORDERED[:2], ORDERED[3:5]])).status == PASS
 
 
 def test_confoliation_first_bad_sample_names_its_cause():
@@ -209,10 +211,10 @@ def test_confoliation_first_bad_sample_names_its_cause():
     v = confoliation_check(c, ORDERED)
     assert v.status == FAIL
     assert v.message == "alpha is not finite at the witness"
-    np.testing.assert_array_equal(v.witness, ORDERED[3].point)
+    np.testing.assert_array_equal(v.witness, ORDERED[3])
     v = confoliation_check(c, ORDERED[4:])
     assert (v.status, v.message) == (FAIL, "alpha vanishes at the witness")
-    np.testing.assert_array_equal(v.witness, ORDERED[5].point)
+    np.testing.assert_array_equal(v.witness, ORDERED[5])
     # a nan mu after a nan dalpha names dalpha
     c = ConfoliationData(
         HyperplaneField(R3, _field(1, {(2,): lambda p: 1.0}),
@@ -227,7 +229,7 @@ def test_shs_witness_is_the_first_failing_sample():
     om = _field(2, {(0, 1): _sign_at_2_and_5})
     v = shs_check(StableHamiltonianPair(lam, om, R3), ORDERED)
     assert v.status == FAIL and "not positive" in v.message
-    np.testing.assert_array_equal(v.witness, ORDERED[2].point)
+    np.testing.assert_array_equal(v.witness, ORDERED[2])
 
 
 def test_shs_first_bad_sample_names_its_cause():
@@ -237,15 +239,15 @@ def test_shs_first_bad_sample_names_its_cause():
     v = shs_check(StableHamiltonianPair(lam, om, R3), ORDERED)
     assert v.status == FAIL
     assert v.message == "lambda is not finite at the witness"
-    np.testing.assert_array_equal(v.witness, ORDERED[3].point)
+    np.testing.assert_array_equal(v.witness, ORDERED[3])
     v = shs_check(StableHamiltonianPair(lam, om, R3), ORDERED[4:])
     assert v.status == FAIL and "lambda^omega^1 = 0.000e+00" in v.message
-    np.testing.assert_array_equal(v.witness, ORDERED[5].point)
+    np.testing.assert_array_equal(v.witness, ORDERED[5])
 
 
 def test_batched_order_at_matches_single_points():
-    grid = SAMPLES + pts((0.0, 0.1, 0.2, 0.3, 0.0), (1.0, -1.0, 0.0, 0.5, 1.0))
-    P = np.array([s.point for s in grid])
+    P = np.concatenate([SAMPLES, pts((0.0, 0.1, 0.2, 0.3, 0.0),
+                                     (1.0, -1.0, 0.0, 0.5, 1.0))])
     for h in (darboux_field(), cubic_field(), flat_field()):
         batch = order_at(h, P)
         assert batch == [order_at(h, p) for p in P]
@@ -305,7 +307,7 @@ def test_kernel_band_names_its_tolerance():
         assert abs(above - 1e-7) < 1e-15 and abs(below - 1e-7) < 1e-15
         # the single-point K_xi reports the same band (it raised a
         # TypeError before KernelResult had a message)
-        K = char_dist_at(c.h, SAMPLES[0].point, c.tau_rank)
+        K = char_dist_at(c.h, SAMPLES[0], c.tau_rank)
         assert (K.status, K.message) == (UNDETERMINED, v.message)
 
 
@@ -329,9 +331,9 @@ def test_cone_membership_positive_function_fields():
     om = mu_field({("x1", "y1"): f + g * 3 * x1**2, ("x2", "y2"): g})
     v = cone_membership(c, om, SAMPLES)
     assert v.status == PASS
-    for s, fv, gv in zip(SAMPLES, v.margins["f"], v.margins["g"]):
-        pf = 1 + s.point[0] ** 2
-        pg = 2 + s.point[3] ** 2
+    for p, fv, gv in zip(SAMPLES, v.margins["f"], v.margins["g"]):
+        pf = 1 + p[0] ** 2
+        pg = 2 + p[3] ** 2
         assert abs(fv - pf) <= 1e-6 * pf and abs(gv - pg) <= 1e-6 * pg
 
 
@@ -486,10 +488,10 @@ def test_open_book_n1_bundle():
 
 def test_open_book_n1_split_cotamed():
     pair = open_book_confoliation(1)
-    for s in open_book_samples(pair, count=10, seed=11):
-        xi = pair.h.xi_basis(s.point)
-        mu_xi = xi.restrict(pair.Omega.eval_at(s.point))
-        da_xi = xi.restrict(pair.h.dalpha.eval_at(s.point))
+    for p in open_book_samples(pair, count=10, seed=11):
+        xi = pair.h.xi_basis(p)
+        mu_xi = xi.restrict(pair.Omega.eval_at(p))
+        da_xi = xi.restrict(pair.h.dalpha.eval_at(p))
         K = kernel_with_tol(da_xi)
         assert K.status == PASS
         J, status = split_cotamed_J(SkewPair(mu_xi, da_xi), K.subspace)
@@ -560,8 +562,8 @@ def blob_samples():
     for r in (0.2, 0.25, 0.8, 1.5, 2.4, 3.0):
         p = np.array([r, rng.uniform(0, 6), rng.uniform(0, 6),
                       rng.uniform(0, 6)])
-        out.append(PointSample(p))
-    return out
+        out.append(p)
+    return np.array(out)
 
 
 def test_blob_product_model_passes():

@@ -19,7 +19,6 @@ from confolkit.grassmann import (
     UNDECIDED,
     FormAlgebra,
     FormExpr,
-    ScalarExpr,
     UnsupportedScalar,
     scalar_is_zero,
 )
@@ -231,18 +230,6 @@ def test_scalar_fragment_decisions():
         scalar_is_zero(sp.log(u))
     with pytest.raises(UnsupportedScalar):
         scalar_is_zero(sp.Float(0.5) * u)
-
-
-def test_scalar_expr_division_contract():
-    s = ScalarExpr(sp.Symbol("s"))
-    one = ScalarExpr(1)
-    with pytest.raises(ValueError):
-        one.div(s)                      # symbolic divisor needs the assertion
-    q = one.div(s, nonzero=True)
-    assert q.equals(sp.Symbol("s") ** -1) is True
-    assert one.div(2).equals(sp.Rational(1, 2)) is True
-    with pytest.raises(ZeroDivisionError):
-        one.div(ScalarExpr(0), nonzero=True)
 
 
 def test_undecided_is_not_boolean(coord4):

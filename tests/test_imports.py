@@ -1,4 +1,5 @@
-"""Every name a confolkit module imports is used there.
+"""Every name a confolkit module imports is used there, and every name it
+exports is bound.
 
 A name listed in the module's ``__all__`` counts as used (a re-export);
 ``from __future__`` imports are exempt.  Read with the stdlib ``ast``, so
@@ -6,6 +7,7 @@ no linter is needed.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -46,3 +48,14 @@ def test_unused_import_is_reported():
                      "import os, numpy.linalg\nfrom a import b, c as d\n"
                      "__all__ = ['b']\nos.sep\n")
     assert _unused_imports(tree) == [(2, "numpy"), (3, "d")]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_module_binds_every_exported_name(path):
+    # a name deleted from the module but left in __all__ breaks
+    # `from confolkit import *`; the import check above counts it as used
+    name = "confolkit" if path.stem == "__init__" else f"confolkit.{path.stem}"
+    module = importlib.import_module(name)
+    exported = getattr(module, "__all__", ())
+    assert [n for n in exported if not hasattr(module, n)] == []
