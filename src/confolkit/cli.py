@@ -791,75 +791,86 @@ def _chart_samples(chart, flags):
     return sample_prefix(chart, density, flags.seed, flags.samples, margin=0.05)
 
 
-def _nelder_mead(f, x0, xatol, fatol, maxiter):
-    """Minimize f from x0 by the downhill simplex; returns (best point, its
-    value).
+def _nelder_mead(F, X0, xatol, fatol, maxiter):
+    """Minimize by the downhill simplex from each row of X0 at once; F maps
+    a ``(K, n)`` stack of points to the ``(K,)`` float array of their
+    values.  Returns (the best point of each start as rows, their values).
 
-    A step-for-step port of scipy.optimize.minimize(method="Nelder-Mead")
-    with its defaults otherwise (no bounds, the non-adaptive coefficients
-    reflection 1, expansion 2, contraction and shrink 1/2, no cap on
-    evaluations), so from the same start it returns the same point.
+    Every row is a step-for-step port of
+    scipy.optimize.minimize(method="Nelder-Mead") with its defaults
+    otherwise (no bounds, the non-adaptive coefficients reflection 1,
+    expansion 2, contraction and shrink 1/2, no cap on evaluations), so
+    from the same start it returns the same point.  The simplices advance
+    in lockstep, with one call of F per phase of an iteration: the
+    reflections, then the expansions and contractions, then the shrinks.
     """
-    x0 = np.asarray(x0, dtype=float)
-    n = len(x0)
-    sim = np.empty((n + 1, n))
-    sim[0] = x0
+    X0 = np.asarray(X0, dtype=float)
+    K, n = X0.shape
+    sim = np.repeat(X0[:, None, :], n + 1, axis=1)
     for k in range(n):
-        y = np.array(x0, copy=True)
-        y[k] = 1.05 * y[k] if y[k] != 0 else 0.00025
-        sim[k + 1] = y
-    fsim = np.array([f(np.copy(x)) for x in sim], dtype=float)
+        y = sim[:, k + 1, k]
+        sim[:, k + 1, k] = np.where(y != 0, 1.05 * y, 0.00025)
+    fsim = F(sim.reshape(-1, n)).reshape(K, n + 1)
+
+    def sort(sim, fsim):
+        ind = np.argsort(fsim, axis=1)
+        rows = np.arange(len(ind))[:, None]
+        return sim[rows, ind], fsim[rows, ind]
+
     # sorted twice as scipy does: argsort's default kind is not stable, so
     # the second pass may reorder tied values
-    for _ in range(2):
-        ind = np.argsort(fsim)
-        sim, fsim = np.take(sim, ind, 0), np.take(fsim, ind, 0)
-
-    iterations = 1
-    while iterations < maxiter:
-        if (np.max(np.abs(sim[1:] - sim[0])) <= xatol
-                and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol):
-            break
-        xbar = np.add.reduce(sim[:-1], 0) / n
-        xr = 2 * xbar - sim[-1]                       # reflection
-        fxr = f(np.copy(xr))
-        shrink = False
-        if fxr < fsim[0]:
-            xe = 3 * xbar - 2 * sim[-1]               # expansion
-            fxe = f(np.copy(xe))
-            sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
-        elif fxr < fsim[-2]:
-            sim[-1], fsim[-1] = xr, fxr
-        elif fxr < fsim[-1]:
-            xc = 1.5 * xbar - 0.5 * sim[-1]           # outside contraction
-            fxc = f(np.copy(xc))
-            if fxc <= fxr:
-                sim[-1], fsim[-1] = xc, fxc
-            else:
-                shrink = True
-        else:
-            xcc = 0.5 * xbar + 0.5 * sim[-1]          # inside contraction
-            fxcc = f(np.copy(xcc))
-            if fxcc < fsim[-1]:
-                sim[-1], fsim[-1] = xcc, fxcc
-            else:
-                shrink = True
-        if shrink:
-            for j in range(1, n + 1):
-                sim[j] = sim[0] + 0.5 * (sim[j] - sim[0])
-                fsim[j] = f(np.copy(sim[j]))
-        iterations += 1
-        ind = np.argsort(fsim)
-        sim, fsim = np.take(sim, ind, 0), np.take(fsim, ind, 0)
-    return sim[0], float(fsim[0])
+    sim, fsim = sort(*sort(sim, fsim))
+    best, fbest = sim[:, 0].copy(), fsim[:, 0].copy()
+    live = np.arange(K)          # the start of each row of sim still going
+    for _ in range(1, maxiter):
+        done = ((np.abs(sim[:, 1:] - sim[:, :1]).max(axis=(1, 2)) <= xatol)
+                & (np.abs(fsim[:, :1] - fsim[:, 1:]).max(axis=1) <= fatol))
+        if done.any():
+            best[live[done]], fbest[live[done]] = sim[done, 0], fsim[done, 0]
+            live, sim, fsim = live[~done], sim[~done], fsim[~done]
+            if not len(live):
+                break
+        xbar = np.add.reduce(sim[:, :-1], 1) / n
+        worst = sim[:, -1]
+        xr = 2 * xbar - worst                                  # reflection
+        fxr = F(xr)
+        expand = fxr < fsim[:, 0]
+        accept = ~expand & (fxr < fsim[:, -2])
+        outside = ~expand & ~accept & (fxr < fsim[:, -1])
+        inside = ~(expand | accept | outside)
+        # a * xbar + b * worst is each row's second point: the expansion
+        # 3 xbar - 2 worst, the outside contraction 1.5 xbar - 0.5 worst or
+        # the inside one 0.5 xbar + 0.5 worst, with the same roundings
+        a = np.where(expand, 3.0, np.where(outside, 1.5, 0.5))
+        b = np.where(expand, -2.0, np.where(outside, -0.5, 0.5))
+        x2 = a[:, None] * xbar + b[:, None] * worst
+        f2 = np.full(len(live), np.nan)
+        if not accept.all():
+            f2[~accept] = F(x2[~accept])
+        take2 = ((expand & (f2 < fxr)) | (outside & (f2 <= fxr))
+                 | (inside & (f2 < fsim[:, -1])))
+        shrink = (outside | inside) & ~take2
+        step = ~shrink
+        sim[step, -1] = np.where(take2[:, None], x2, xr)[step]
+        fsim[step, -1] = np.where(take2, f2, fxr)[step]
+        if shrink.any():
+            sh = sim[shrink]
+            sh[:, 1:] = sh[:, :1] + 0.5 * (sh[:, 1:] - sh[:, :1])
+            sim[shrink] = sh
+            fsim[shrink, 1:] = F(sh[:, 1:].reshape(-1, n)).reshape(-1, n)
+        sim, fsim = sort(sim, fsim)
+    best[live], fbest[live] = sim[:, 0], fsim[:, 0]
+    return best, fbest
 
 
 def _locate_stratum(chart, base_h, order, flags, limit=6):
     """Points where the base degenerates to the given order, found by
     driving |beta ^ dbeta^(order+1)|^2 to zero from seeded starts.
 
-    Returns (the points as the rows of an array, the smallest value of that
-    square reached)."""
+    The starts run in order, ``limit`` minus the points found so far at a
+    time, so no start runs that a one-by-one search would skip.  Returns
+    (the points as the rows of an array, the smallest value of that square
+    reached)."""
     top = table_top(chart, base_h.symbolic_table, order)
     fld = table_to_field(chart, top)
     lo = np.array([b[0] for b in chart.box])
@@ -867,23 +878,27 @@ def _locate_stratum(chart, base_h, order, flags, limit=6):
     pad = 0.02 * (hi - lo)
     inner_lo, inner_hi = lo + pad, hi - pad
 
-    def g(x):
+    def F(X):
         # np.clip's result, without its per-call dispatch
-        x = np.minimum(np.maximum(x, inner_lo), inner_hi)
-        return sum(v * v for v in fld.components(x).values())
+        X = np.minimum(np.maximum(X, inner_lo), inner_hi)
+        return sum((v * v for v in fld.components(X).values()),
+                   np.zeros(len(X)))
 
-    found, reached = [], math.inf
-    for x0 in sample_prefix(chart, 3, flags.seed + 17 * order, 20, margin=0.1):
-        x, fx = _nelder_mead(g, x0, xatol=1e-12, fatol=1e-24, maxiter=4000)
-        reached = min(reached, fx)
-        q = np.clip(x, inner_lo, inner_hi)
-        if order_at(base_h, q, flags.tol_rank).k != order:
-            continue
-        if any(np.linalg.norm(q - f) < 1e-3 for f in found):
-            continue
-        found.append(q)
-        if len(found) >= limit:
-            break
+    starts = sample_prefix(chart, 3, flags.seed + 17 * order, 20, margin=0.1)
+    found, reached, done = [], math.inf, 0
+    while done < len(starts) and len(found) < limit:
+        batch = starts[done:done + limit - len(found)]
+        done += len(batch)
+        xs, fxs = _nelder_mead(F, batch, xatol=1e-12, fatol=1e-24,
+                               maxiter=4000)
+        for x, fx in zip(xs, fxs):
+            reached = min(reached, float(fx))
+            q = np.clip(x, inner_lo, inner_hi)
+            if order_at(base_h, q, flags.tol_rank).k != order:
+                continue
+            if any(np.linalg.norm(q - f) < 1e-3 for f in found):
+                continue
+            found.append(q)
     return np.array(found).reshape(-1, chart.dim), reached
 
 
@@ -1128,6 +1143,18 @@ def _positive(convert):
     return parse
 
 
+def _seed(text):
+    """Flag type: an integer >= 0, which is what numpy's seeding takes."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(
+            f"must be an integer >= 0, got {text}")
+    return value
+
+
+_seed.__name__ = "int"          # argparse: "invalid int value"
+
+
 def _build_argparser():
     p = _ArgParser(prog="confolkit", add_help=True,
                    description="confoliation verification toolkit")
@@ -1139,7 +1166,7 @@ def _build_argparser():
     p.add_argument("--fd-step", type=_positive(float), default=1e-4,
                    dest="fd_step")
     p.add_argument("--samples", type=_positive(int), default=24)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_seed, default=None)
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--out", default=None)
     p.add_argument("--selftest", action="store_true")
@@ -1167,10 +1194,10 @@ def main(argv=None):
     if flags.seed is None:
         env = os.environ.get("CONFOLKIT_SEED", "0")
         try:
-            flags.seed = int(env)
-        except ValueError:
+            flags.seed = _seed(env)
+        except (ValueError, argparse.ArgumentTypeError):
             print(f"confolkit: usage error: CONFOLKIT_SEED={env!r} is not "
-                  "an integer", file=sys.stderr)
+                  "an integer >= 0", file=sys.stderr)
             return 3
     if flags.selftest:
         return _selftest(flags)

@@ -433,6 +433,99 @@ def _refine(f, a, b):
     return _to_float(b)
 
 
+# Exact decisions on the unit interval (0, 1] for polynomials over Q (lists of
+# ints or Fractions, constant term first).  Each scales its input to integers
+# and answers from Sturm counts at dyadic points.
+
+_S0, _S1 = (0, 0), (1, 0)
+
+
+def _integer(p):
+    """A positive multiple of p with coprime integer coefficients."""
+    p = _trim(list(p))
+    if not p:
+        return []
+    lcm = math.lcm(*(Fraction(c).denominator for c in p))
+    return _primitive([int(c * lcm) for c in p])
+
+
+def _dyadic_q(x):
+    return Fraction(x[0], 1 << x[1])
+
+
+def _nonzero_point(p, a, b):
+    """A dyadic point of (a, b] where p (not zero) does not vanish: among
+    deg p + 1 distinct points one is not a root."""
+    x = b
+    while not _sign_at(p, x):
+        x = _midpoint(a, x)
+    return x
+
+
+def unit_roots(p):
+    """The distinct roots of p in (0, 1] as ascending floats."""
+    p = _integer(p)
+    if len(p) < 2:
+        return []
+    sturm = _sturm(_pdivmod(p, _gcd(p, _derivative(p)))[0])
+    return _isolate(sturm, _S0, _count_at(sturm, _S0),
+                    _S1, _count_at(sturm, _S1))
+
+
+def unit_negative_point(p):
+    """A point of (0, 1] where p < 0 (a Fraction), or None if p >= 0 there.
+
+    p changes sign only at its roots of odd multiplicity.  Off its other
+    roots, p has the sign of ``sigma`` times the signs of its square-free
+    factors of odd multiplicity, so the search bisects on their Sturm
+    counts: an interval with none of their roots inside has one sign, read
+    at its midpoint, and one with roots is split.  Such a root always has a
+    side where p < 0, so the search ends.
+    """
+    p = _integer(p)
+    if not p:
+        return None
+    odd = [f for f, mult in _square_free(p) if mult % 2]
+    sturms = [_sturm(f) for f in odd]
+    sigma = math.prod(1 if f[-1] > 0 else -1 for f in [p, *odd])
+
+    def roots_inside(a, b):
+        return sum(_count_at(st, a) - _count_at(st, b)
+                   - (_sign_at(st[0], b) == 0) for st in sturms)
+
+    queue = [(_S0, _S1)]
+    while queue:
+        a, b = queue.pop(0)
+        m = _midpoint(a, b)
+        if roots_inside(a, b):
+            queue += [(a, m), (m, b)]
+        elif sigma * math.prod(_sign_at(f, m) for f in odd) < 0:
+            return _dyadic_q(_nonzero_point(p, a, b))
+    return None
+
+
+def unit_common_root(a, b):
+    """The first common root of a and b in (0, 1] (a Fraction within a
+    double of it), or None; 1 when both vanish identically."""
+    g = _gcd(_integer(a), _integer(b))
+    if not g:
+        return Fraction(1)
+    roots = unit_roots(g)
+    return Fraction(roots[0]) if roots else None
+
+
+def unit_zero_not_shared(z, a):
+    """A point of (0, 1] where z = 0 but a != 0, or None."""
+    z, a = _integer(z), _integer(a)
+    if not z:
+        return _dyadic_q(_nonzero_point(a, _S0, _S1)) if a else None
+    if len(z) < 2:
+        return None
+    f = _pdivmod(z, _gcd(z, _derivative(z)))[0]
+    roots = unit_roots(_pdivmod(f, _gcd(f, a))[0])
+    return Fraction(roots[0]) if roots else None
+
+
 def pencil_positive(pair: SkewPair, closed=False, orientation=+1):
     """Nondegeneracy of mu0 + t*mu1 on the ray t>0 (or t>=0 when closed).
 

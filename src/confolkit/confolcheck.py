@@ -17,8 +17,12 @@ search) / SKIPPED (declared-global conditions that samples cannot certify).
 
 from __future__ import annotations
 
+import bisect
+import functools
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 import sympy as sp
@@ -47,6 +51,10 @@ from confolkit.conetame import (
     pfaffian,
     sigmas_at_cut,
     skew_rank,
+    unit_common_root,
+    unit_negative_point,
+    unit_roots,
+    unit_zero_not_shared,
 )
 
 SKIPPED = "SKIPPED"
@@ -692,9 +700,131 @@ def hermite_segment(x0, x1, y0, m0, y1, m1, var=_r):
             + y1 * (-2 * t**3 + 3 * t**2) + m1 * w * (t**3 - t**2))
 
 
+class Hermite(NamedTuple):
+    """A piece given by :func:`hermite_segment`'s data."""
+
+    x0: object
+    x1: object
+    y0: object
+    m0: object
+    y1: object
+    m1: object
+
+
+@dataclass(frozen=True)
+class Profile:
+    """A radial profile in r, piece by piece.
+
+    Piece k holds for ``breaks[k-1] < r <= breaks[k]`` and the last piece
+    for every r above the last break.  A piece is :class:`Hermite` data or a
+    tuple of polynomial coefficients in r, constant term first; numbers are
+    ints, floats or sympy Rationals.  ``expr`` is the ``sp.Piecewise`` the
+    chart tables compile.  ``exact`` is the same profile over Q (a float
+    converts exactly, a Hermite width ``x1 - x0`` is taken in Q): the
+    breakpoints and one coefficient list per piece.
+    """
+
+    breaks: tuple
+    pieces: tuple
+
+    def __post_init__(self):
+        if len(self.pieces) != len(self.breaks) + 1:
+            raise ValueError("a profile has one piece more than breakpoints")
+        if any(a >= b for a, b in zip(self.breaks, self.breaks[1:])):
+            raise ValueError("profile breakpoints must increase")
+
+    @functools.cached_property
+    def expr(self):
+        conds = [_r <= x for x in self.breaks] + [True]
+        return sp.Piecewise(*((_piece_expr(p), c)
+                              for p, c in zip(self.pieces, conds)))
+
+    @functools.cached_property
+    def exact(self):
+        return (tuple(map(_q, self.breaks)),
+                tuple(_piece_poly(p) for p in self.pieces))
+
+    def piece_at(self, r):
+        """The exact polynomial that holds at r."""
+        breaks, polys = self.exact
+        return polys[bisect.bisect_left(breaks, r)]
+
+    def piece_above(self, r):
+        """The exact polynomial that holds just above r."""
+        breaks, polys = self.exact
+        return polys[bisect.bisect_right(breaks, r)]
+
+
+def _piece_expr(piece):
+    if isinstance(piece, Hermite):
+        return hermite_segment(*piece)
+    return sum(sp.sympify(c) * _r**k for k, c in enumerate(piece))
+
+
+def _q(x):
+    """x in Q; a float converts exactly."""
+    if isinstance(x, sp.Basic):
+        x = sp.Rational(x)
+        return Fraction(int(x.p), int(x.q))
+    return Fraction(x)
+
+
+# Polynomials over Q are lists of Fractions, constant term first, without
+# zero leading coefficients; [] is the zero polynomial.
+
+def _qtrim(p):
+    p = list(p)
+    while p and p[-1] == 0:
+        p.pop()
+    return p
+
+
+def _qadd(a, b):
+    n = max(len(a), len(b))
+    return _qtrim((a[k] if k < len(a) else 0) + (b[k] if k < len(b) else 0)
+                  for k in range(n))
+
+
+def _qmul(a, b):
+    out = [Fraction(0)] * max(len(a) + len(b) - 1, 0)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return _qtrim(out)
+
+
+def _qcompose(p, a, b):
+    """p(a + b s) as a polynomial in s."""
+    out = []
+    for c in reversed(p):
+        out = _qadd(_qmul(out, [a, b]), [c])
+    return out
+
+
+def _qderiv(p):
+    return [k * c for k, c in enumerate(p)][1:]
+
+
+def _qeval(p, x):
+    out = Fraction(0)
+    for c in reversed(p):
+        out = out * x + c
+    return out
+
+
+def _piece_poly(piece):
+    if not isinstance(piece, Hermite):
+        return _qtrim(map(_q, piece))
+    x0, x1, y0, m0, y1, m1 = map(_q, piece)
+    w = x1 - x0
+    in_t = [y0, m0 * w, -3 * y0 - 2 * m0 * w + 3 * y1 - m1 * w,
+            2 * y0 + m0 * w - 2 * y1 + m1 * w]
+    return _qcompose(_qtrim(in_t), -x0 / w, 1 / w)
+
+
 @dataclass(frozen=True)
 class OpenBookProfiles:
-    """Radial profiles (f, g, h, l) on [0, delta] as sympy expressions in r.
+    """Radial profiles (f, g, h, l) on [0, delta] as :class:`Profile` pieces.
 
     f interpolates the page form down (1 near the binding, 0 at the outer
     rim), g = 1 - f brings in d(theta), h carries the rotational part of the
@@ -702,10 +832,10 @@ class OpenBookProfiles:
     Cartesian coordinates), l is the exact potential ramp.
     """
 
-    f: sp.Expr
-    g: sp.Expr
-    h: sp.Expr
-    l: sp.Expr
+    f: Profile
+    g: Profile
+    h: Profile
+    l: Profile
     delta: float
     stages: tuple      # (delta1, a, b, delta2)
 
@@ -713,66 +843,84 @@ class OpenBookProfiles:
 def default_profiles(delta=1.0, stages=None) -> OpenBookProfiles:
     d1, a, b, d2 = stages if stages else (0.15 * delta, 0.3 * delta,
                                           0.6 * delta, 0.8 * delta)
-    f = sp.Piecewise((1, _r <= a),
-                     (hermite_segment(a, b, 1, 0, 0, 0), _r <= b),
-                     (0, True))
-    g = sp.Piecewise((0, _r <= a),
-                     (hermite_segment(a, b, 0, 0, 1, 0), _r <= b),
-                     (1, True))
-    h = sp.Piecewise((_r, _r <= d1),
-                     (hermite_segment(d1, a, d1, 1, sp.Rational(1, 2), 0),
-                      _r <= a),
-                     (sp.Rational(1, 2), _r <= b),
-                     (hermite_segment(b, d2, sp.Rational(1, 2), 0, 0, 0),
-                      _r <= d2),
-                     (0, True))
-    l = sp.Piecewise((0, _r <= d1),
-                     (hermite_segment(d1, a, 0, 0, a / 2, sp.Rational(1, 2)),
-                      _r <= a),
-                     (_r / 2, _r <= b),
-                     (hermite_segment(b, d2, b / 2, sp.Rational(1, 2), d2, 1),
-                      _r <= d2),
-                     (_r, True))
+    half = sp.Rational(1, 2)
+    f = Profile((a, b), ((1,), Hermite(a, b, 1, 0, 0, 0), (0,)))
+    g = Profile((a, b), ((0,), Hermite(a, b, 0, 0, 1, 0), (1,)))
+    h = Profile((d1, a, b, d2),
+                ((0, 1), Hermite(d1, a, d1, 1, half, 0), (half,),
+                 Hermite(b, d2, half, 0, 0, 0), (0,)))
+    l = Profile((d1, a, b, d2),
+                ((0,), Hermite(d1, a, 0, 0, a / 2, half), (0, half),
+                 Hermite(b, d2, b / 2, half, d2, 1), (0, 1)))
     return OpenBookProfiles(f, g, h, l, delta, (d1, a, b, d2))
 
 
-def profile_constraints(pr: OpenBookProfiles, grid=400, tau=1e-9) -> Verdict:
-    """Numeric audit of the collar profile conditions on (0, delta]."""
-    fns = {}
-    for name in ("f", "g", "h", "l"):
-        e = getattr(pr, name)
-        fns[name] = sp.lambdify(_r, e, "math")
-        fns[name + "p"] = sp.lambdify(_r, sp.diff(e, _r), "math")
-    rs = np.linspace(pr.delta / grid, pr.delta, grid)
-    margins = {"shs_residual": 0.0}
-    for r in rs:
-        f, g, h, l = (fns[k](r) for k in "fghl")
-        fp, gp, hp, lp = (fns[k + "p"](r) for k in ("f", "g", "h", "l"))
-        if fp > tau or gp < -tau or lp < -tau or h < -tau:
-            return Verdict(FAIL, witness=r,
-                           message="monotonicity/sign constraint violated")
-        if f * f + g * g <= tau:
-            return Verdict(FAIL, witness=r, message="f and g both vanish")
-        if abs(f * h) <= tau and abs(g * lp) <= tau:
-            return Verdict(FAIL, witness=r,
-                           message="degenerate slice: f*h = g*l' = 0")
-        if abs(fp) > tau and abs(g) <= tau:
-            return Verdict(FAIL, witness=r, message="g = 0 where f' != 0")
-        if abs(gp) > tau and abs(f) <= tau:
-            return Verdict(FAIL, witness=r, message="f = 0 where g' != 0")
-        margins["shs_residual"] = max(margins["shs_residual"],
-                                      abs(-h * fp - lp * gp))
-    # binding end: the rotational profile must vanish linearly like r itself
-    # so that h dr^dtheta closes up to dx^dy across r = 0.
-    for r in (pr.delta * 1e-3, pr.delta * 1e-2):
-        if abs(fns["h"](r) / r - 1.0) > 1e-6:
-            return Verdict(FAIL, witness=r,
-                           message="h(r)/r != 1 near the binding")
-    if abs(fns["f"](pr.delta * 1e-3) - 1.0) > tau:
+def _collar_pieces(pr: OpenBookProfiles):
+    """(lo, hi, f, g, h, l) over the intervals (lo, hi] between consecutive
+    breakpoints of any profile in (0, delta]: one polynomial each."""
+    delta = _q(pr.delta)
+    profs = (pr.f, pr.g, pr.h, pr.l)
+    cuts = sorted({x for p in profs for x in p.exact[0] if 0 < x < delta}
+                  | {delta})
+    for lo, hi in zip([Fraction(0)] + cuts, cuts):
+        yield (lo, hi, *(p.piece_at(hi) for p in profs))
+
+
+def _shs_residual(pr: OpenBookProfiles):
+    """max |h f' + l' g'| over (0, delta] as a float: on each piece the
+    largest of the exact values at its ends and at the roots of the
+    derivative (their floats taken exactly)."""
+    worst = 0.0
+    for lo, hi, f, g, h, l in _collar_pieces(pr):
+        res = _qadd(_qmul(h, _qderiv(f)), _qmul(_qderiv(l), _qderiv(g)))
+        if res:
+            crit = unit_roots(_qcompose(_qderiv(res), lo, hi - lo))
+            xs = [lo, hi] + [lo + (hi - lo) * Fraction(s) for s in crit]
+            worst = max(worst, *(abs(float(_qeval(res, x))) for x in xs))
+    return worst
+
+
+def profile_constraints(pr: OpenBookProfiles) -> Verdict:
+    """Exact audit of the collar profile conditions on (0, delta].
+
+    Between consecutive breakpoints every profile is one polynomial over Q,
+    so each condition is decided there with integer Sturm sequences, and a
+    FAIL's witness is a point where it fails: f' <= 0, g' >= 0, l' >= 0 and
+    h >= 0; f and g never vanish together, nor f h and g l'; g = 0 only
+    where f' = 0 and f = 0 only where g' = 0.  At the binding h = r and
+    f = 1, and g = 1 at the rim.  The margin ``shs_residual`` is
+    max |-h f' - l' g'|, the stable Hamiltonian obstruction.
+    """
+    for lo, hi, f, g, h, l in _collar_pieces(pr):
+        fp, gp, lp = _qderiv(f), _qderiv(g), _qderiv(l)
+        F, G, H, Fp, Gp, Lp = (_qcompose(p, lo, hi - lo)
+                               for p in (f, g, h, fp, gp, lp))
+        for sign_name, p in (("f' > 0", [-c for c in Fp]), ("g' < 0", Gp),
+                             ("l' < 0", Lp), ("h < 0", H)):
+            s = unit_negative_point(p)
+            if s is not None:
+                return Verdict(FAIL, witness=float(lo + (hi - lo) * s),
+                               message="monotonicity/sign constraint "
+                                       f"violated: {sign_name}")
+        for message, find in (
+                ("f and g both vanish", lambda: unit_common_root(F, G)),
+                ("degenerate slice: f*h = g*l' = 0",
+                 lambda: unit_common_root(_qmul(F, H), _qmul(G, Lp))),
+                ("g = 0 where f' != 0", lambda: unit_zero_not_shared(G, Fp)),
+                ("f = 0 where g' != 0", lambda: unit_zero_not_shared(F, Gp))):
+            s = find()
+            if s is not None:
+                return Verdict(FAIL, witness=float(lo + (hi - lo) * s),
+                               message=message)
+    # binding end: the rotational profile is r itself there, so that
+    # h dr^dtheta closes up to dx^dy across r = 0
+    if pr.h.piece_above(0) != [0, 1]:
+        return Verdict(FAIL, message="h(r) != r near the binding")
+    if _qeval(pr.f.piece_above(0), 0) != 1:
         return Verdict(FAIL, message="f != 1 near the binding")
-    if abs(fns["g"](pr.delta * (1 - 1e-3)) - 1.0) > tau:
+    if _qeval(pr.g.piece_at(_q(pr.delta)), _q(pr.delta)) != 1:
         return Verdict(FAIL, message="g != 1 at the outer rim")
-    return Verdict(PASS, margins=margins)
+    return Verdict(PASS, margins={"shs_residual": _shs_residual(pr)})
 
 
 @dataclass
@@ -797,7 +945,10 @@ def open_book_confoliation(n, profiles: OpenBookProfiles = None,
     Omega = Omega_B + h dr^dtheta - l' dr^alpha_B - l dalpha_B.
     """
     pr = profiles if profiles is not None else default_profiles(delta)
-    f, g, hh, ll = pr.f, pr.g, pr.h, pr.l
+    audit = profile_constraints(pr)
+    if audit.status == FAIL:
+        raise ValueError(f"profile constraint violated: {audit.message}")
+    f, g, hh, ll = pr.f.expr, pr.g.expr, pr.h.expr, pr.l.expr
     lp = sp.diff(ll, _r)
     two_pi = 2 * math.pi
     if n == 1:
@@ -828,9 +979,6 @@ def open_book_confoliation(n, profiles: OpenBookProfiles = None,
         }
     else:
         raise ValueError("open-book collar models are built for n = 1 or 2")
-    audit = profile_constraints(pr)
-    if audit.status == FAIL:
-        raise ValueError(f"profile constraint violated: {audit.message}")
     h_field = HyperplaneField.from_symbolic(
         chart, {k: v for k, v in alpha_tab.items()})
     Omega = FormFieldNum.from_symbolic(chart, 2, omega_tab)
@@ -853,14 +1001,10 @@ def open_book_samples(pair: OpenBookPair, count=40, seed=0, r_min=None):
     return out
 
 
-def open_book_shs_residual(pair: OpenBookPair, grid=200):
-    """max |-h f' - l' g'| over the radial grid: the stable Hamiltonian
-    obstruction for the collar pair."""
-    pr = pair.profiles
-    e = (-pr.h * sp.diff(pr.f, _r) - sp.diff(pr.l, _r) * sp.diff(pr.g, _r))
-    fn = sp.lambdify(_r, e, "math")
-    rs = np.linspace(pr.delta / grid, pr.delta * (1 - 1e-9), grid)
-    return max(abs(fn(r)) for r in rs)
+def open_book_shs_residual(pair: OpenBookPair):
+    """max |-h f' - l' g'| over (0, delta], from the exact profile pieces:
+    the stable Hamiltonian obstruction for the collar pair."""
+    return _shs_residual(pair.profiles)
 
 
 # ---------------------------------------------------------------------------

@@ -20,9 +20,10 @@ from .chartfield import (Chart, FormFieldNum, d_fd, sample_prefix,
                          table_to_field)
 from .conetame import FAIL, PASS, SkewPair, kernel_with_tol, split_cotamed_J
 from .confolcheck import (
-    SKIPPED, ConfoliationData, HyperplaneField, OpenBookProfiles,
-    StableHamiltonianPair, Verdict, aggregate, BLobData, blob_pointwise_check,
-    confoliation_check, default_profiles, hermite_segment,
+    SKIPPED, ConfoliationData, Hermite, HyperplaneField, OpenBookProfiles,
+    Profile, StableHamiltonianPair, Verdict, aggregate, BLobData,
+    blob_pointwise_check, confoliation_check, default_profiles,
+    hermite_segment,
     open_book_confoliation, open_book_samples, open_book_shs_residual,
     order_at, profile_constraints, shs_check, transversely_exact_check)
 from .approx import (
@@ -796,14 +797,13 @@ def _build_ob_deformation(delta=1.0, seed=0):
         (sp.Integer(1), True))
     # monotone replacement tail for l: keeps l' > 0 and l < 1, which is all
     # the compatibility argument uses
-    l_prof = sp.Piecewise(
-        (sp.Integer(0), r <= d1),
-        (hermite_segment(d1, a, 0, 0, a / 2, sp.Rational(1, 2)), r <= a),
-        (r / 2, r <= bb),
-        (hermite_segment(bb, delta, bb / 2, sp.Rational(1, 2),
-                         0.45 * delta, 0.25), True))
-    f0, g0, h = base.f, base.g, base.h
-    profiles = OpenBookProfiles(f0, g0, h, l_prof, delta, (d1, a, bb, d2))
+    half = sp.Rational(1, 2)
+    l_prof = Profile((d1, a, bb),
+                     ((0,), Hermite(d1, a, 0, 0, a / 2, half), (0, half),
+                      Hermite(bb, delta, bb / 2, half, 0.45 * delta, 0.25)))
+    f0, g0, h = base.f.expr, base.g.expr, base.h.expr
+    profiles = OpenBookProfiles(base.f, base.g, base.h, l_prof, delta,
+                                (d1, a, bb, d2))
 
     chart = Chart(("x", "r", "theta"),
                   ((0.0, 2 * math.pi), (0.02 * delta, 1.0 * delta),
@@ -811,7 +811,7 @@ def _build_ob_deformation(delta=1.0, seed=0):
                   periodic=("x", "theta"))
     fs = (1 - _s) * f0 + _s * f1
     gs = (1 - _s) * g0 + _s * g1
-    lp = sp.diff(l_prof, r)
+    lp = sp.diff(l_prof.expr, r)
     fam = DeformationFamily.from_table(
         chart, {"x": fs, "theta": gs},
         {("r", "theta"): h, ("x", "r"): lp}, param="s")

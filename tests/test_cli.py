@@ -15,7 +15,8 @@ import scipy.optimize
 
 from confolkit import cli, gallery
 from confolkit.approx import DeformationFamily
-from confolkit.confolcheck import HyperplaneField
+from confolkit.chartfield import sample_prefix, table_to_field, table_top
+from confolkit.confolcheck import HyperplaneField, order_at
 from confolkit.cli import CflError, default_flags, main, parse, print_document, run
 from confolkit.conetame import FAIL, PASS, UNDETERMINED
 
@@ -74,6 +75,15 @@ form alpha = dz + r * dt + s * r * dr
 form omega = dr ^ dt
 extend mu on stratum 0 = dr ^ dt
 check approx alpha omega
+"""
+
+# alpha ^ dalpha vanishes only on x = 1/4, and some starts of the stratum
+# search stall elsewhere, so its 6 points come from several batches
+SPLIT_STRATUM_DOC = """\
+chart x[0, 1] y z
+form alpha = dz + y * (x - 1/4) * ((x - 3/4)^2 + 1/100) * dx
+form W = dx ^ dy
+check confoliation alpha W
 """
 
 
@@ -566,54 +576,165 @@ def test_unlocatable_stratum_reports_its_band():
         "tau_rank": 1e-7, "min_top_norm_sq": {"0": 1.0}}
 
 
-def _stratum_searches(name, monkeypatch):
-    """Every (objective, start) the stratum search of a bench document
-    hands to the minimizer, all 20 seeded starts per stratum."""
-    calls = []
-    real = cli._nelder_mead
-
-    def spy(f, x0, **kw):
-        calls.append((f, np.copy(x0)))
-        return real(f, x0, **kw)
-
-    monkeypatch.setattr(cli, "_nelder_mead", spy)
-    path = Path(__file__).resolve().parents[1] / "bench" / "inputs" / name
-    doc = parse(path.read_text())
-    flags = default_flags()
+def _stratum_inputs(text):
+    """(chart, base field, order) of every stratum search a document's
+    checks ask for, or would ask for."""
+    doc = parse(text)
     for entry in doc.checks:
         if entry[0] == "approx":
             _, _, tab_a, tab_b, par = entry
             base = DeformationFamily.from_table(doc.chart, tab_a, tab_b,
                                                 param=par).base.h
-            orders = [order for _, order, _ in doc.extends]
+            for _, order, _ in doc.extends:
+                yield doc.chart, base, order
         elif entry[0] == "confoliation":
             # no strata declared here: search for where alpha ^ dalpha
             # vanishes, which drives the simplex onto the chart's clip
-            base = HyperplaneField.from_symbolic(doc.chart, entry[2])
-            orders = [0]
-        else:
-            continue
-        for order in orders:
-            cli._locate_stratum(doc.chart, base, order, flags, limit=21)
+            yield doc.chart, HyperplaneField.from_symbolic(doc.chart,
+                                                           entry[2]), 0
+
+
+def _bench_doc(name):
+    return (Path(__file__).resolve().parents[1] / "bench" / "inputs"
+            / name).read_text()
+
+
+def _stratum_searches(name, monkeypatch):
+    """Every (batched objective, stack of starts) the stratum search of a
+    bench document hands to the minimizer, all 20 seeded starts per
+    stratum."""
+    calls = []
+    real = cli._nelder_mead
+
+    def spy(F, X0, **kw):
+        calls.append((F, np.copy(X0)))
+        return real(F, X0, **kw)
+
+    monkeypatch.setattr(cli, "_nelder_mead", spy)
+    for chart, base, order in _stratum_inputs(_bench_doc(name)):
+        cli._locate_stratum(chart, base, order, default_flags(), limit=21)
     return calls
+
+
+def _scipy_nm(F, x0, rows=None):
+    """scipy's Nelder-Mead on one row of the batched objective F, recording
+    the points it evaluates in ``rows``."""
+    def f(x):
+        if rows is not None:
+            rows.append(np.copy(x))
+        return F(x[None])[0]
+    return scipy.optimize.minimize(
+        f, x0, method="Nelder-Mead",
+        options={"xatol": 1e-12, "fatol": 1e-24, "maxiter": 4000})
 
 
 @pytest.mark.parametrize("name", ["cubic_family.cfl", "flat_family.cfl",
                                   "solid_torus.cfl"])
 def test_nelder_mead_matches_scipy_bitwise(name, monkeypatch):
     calls = _stratum_searches(name, monkeypatch)
-    assert len(calls) % 20 == 0 and calls
-    f0, x0 = calls[0]
-    x0 = x0.copy()
-    x0[0] = 0.0                   # a zero coordinate takes the 0.00025 step
-    for f, x0 in calls + [(f0, x0)]:
-        x, fx = cli._nelder_mead(f, x0, xatol=1e-12, fatol=1e-24,
-                                 maxiter=4000)
+    assert calls and all(len(X0) == 20 for _, X0 in calls)
+    F0, X0 = calls[0]
+    X0 = X0.copy()
+    X0[0, 0] = 0.0                # a zero coordinate takes the 0.00025 step
+    for F, X0 in calls + [(F0, X0)]:
+        xs, fxs = cli._nelder_mead(F, X0, xatol=1e-12, fatol=1e-24,
+                                   maxiter=4000)
+        assert xs.shape == X0.shape and fxs.shape == (len(X0),)
+        for x0, x, fx in zip(X0, xs, fxs):
+            ref = _scipy_nm(F, x0)
+            assert x.tobytes() == ref.x.tobytes()
+            assert fx == ref.fun
+
+
+def _reference_locate(chart, base_h, order, flags, limit=6):
+    """The stratum search one start at a time, each a scipy run on the
+    single-point objective; also returns the starts it ran."""
+    fld = table_to_field(chart, table_top(chart, base_h.symbolic_table,
+                                          order))
+    lo = np.array([b[0] for b in chart.box])
+    hi = np.array([b[1] for b in chart.box])
+    pad = 0.02 * (hi - lo)
+
+    def g(x):
+        x = np.minimum(np.maximum(x, lo + pad), hi - pad)
+        return sum(v * v for v in fld.components(x).values())
+
+    found, reached, starts = [], np.inf, []
+    for x0 in sample_prefix(chart, 3, flags.seed + 17 * order, 20,
+                            margin=0.1):
+        starts.append(x0)
         ref = scipy.optimize.minimize(
-            f, x0, method="Nelder-Mead",
+            g, x0, method="Nelder-Mead",
             options={"xatol": 1e-12, "fatol": 1e-24, "maxiter": 4000})
-        assert x.tobytes() == ref.x.tobytes()
-        assert fx == ref.fun
+        reached = min(reached, ref.fun)
+        q = np.clip(ref.x, lo + pad, hi - pad)
+        if order_at(base_h, q, flags.tol_rank).k != order:
+            continue
+        if any(np.linalg.norm(q - f) < 1e-3 for f in found):
+            continue
+        found.append(q)
+        if len(found) >= limit:
+            break
+    return np.array(found).reshape(-1, chart.dim), reached, np.array(starts)
+
+
+@pytest.mark.parametrize("text,seed", [
+    *((_bench_doc(name), seed)
+      for name in ("cubic_family.cfl", "flat_family.cfl", "solid_torus.cfl")
+      for seed in (0, 7)),
+    (SPLIT_STRATUM_DOC, 0), (GHOST_STRATUM_DOC, 0)])
+def test_locate_stratum_matches_one_start_at_a_time(text, seed,
+                                                    monkeypatch):
+    flags = default_flags(seed=seed)
+    batches = []
+    real = cli._nelder_mead
+
+    def spy(F, X0, **kw):
+        batches.append(np.copy(X0))
+        return real(F, X0, **kw)
+
+    monkeypatch.setattr(cli, "_nelder_mead", spy)
+    for chart, base, order in _stratum_inputs(text):
+        batches.clear()
+        pts, reached = cli._locate_stratum(chart, base, order, flags)
+        ref_pts, ref_reached, ref_starts = _reference_locate(chart, base,
+                                                             order, flags)
+        assert pts.tobytes() == ref_pts.tobytes()
+        assert reached == ref_reached
+        # the same starts ran, in the same order
+        assert np.concatenate(batches).tobytes() == ref_starts.tobytes()
+    if text == GHOST_STRATUM_DOC:
+        # no start reaches the stratum, so all 20 run
+        assert len(pts) == 0 and reached == 1.0
+
+
+def test_lockstep_search_calls_and_rows(monkeypatch):
+    # the cubic document at seed 0: at most 3 objective calls per lockstep
+    # iteration, and the points evaluated are those of one-by-one runs
+    searches = []
+    real = cli._nelder_mead
+
+    def spy(F, X0, **kw):
+        seen = []
+
+        def counted(X):
+            seen.append(np.copy(X))
+            return F(X)
+        out = real(counted, X0, **kw)
+        searches.append((F, np.copy(X0), seen))
+        return out
+
+    monkeypatch.setattr(cli, "_nelder_mead", spy)
+    for chart, base, order in _stratum_inputs(_bench_doc("cubic_family.cfl")):
+        cli._locate_stratum(chart, base, order, default_flags())
+    for F, X0, seen in searches:
+        rows, nits = [], []
+        for x0 in X0:
+            nits.append(_scipy_nm(F, x0, rows).nit)
+        # one call for the first simplices, then at most three per iteration
+        assert len(seen) <= 1 + 3 * (max(nits) - 1)
+        assert (sorted(r.tobytes() for X in seen for r in X)
+                == sorted(r.tobytes() for r in rows))
 
 
 def test_runtime_imports_no_scipy():
@@ -721,7 +842,8 @@ def test_main_unknown_flag(capsys):
 
 @pytest.mark.parametrize("flag,value", [
     ("--samples", "0"), ("--samples", "-3"), ("--tol-rank", "-1"),
-    ("--tol-pos", "0"), ("--fd-step", "0"), ("--fd-step", "nan")])
+    ("--tol-pos", "0"), ("--fd-step", "0"), ("--fd-step", "nan"),
+    ("--seed", "-1")])
 def test_main_out_of_range_flag_is_a_usage_error(tmp_path, capsys, flag,
                                                  value):
     f = tmp_path / "tube.cfl"
@@ -754,6 +876,17 @@ def test_main_env_seed_fallback(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("CONFOLKIT_SEED", "pi")
     assert main([str(f)]) == 3
     assert "CONFOLKIT_SEED" in capsys.readouterr().err
+
+
+def test_main_negative_env_seed_is_a_usage_error(tmp_path, capsys,
+                                                 monkeypatch):
+    f = tmp_path / "tube.cfl"
+    f.write_text(TUBE_DOC)
+    monkeypatch.setenv("CONFOLKIT_SEED", "-1")
+    assert main([str(f)]) == 3
+    err = capsys.readouterr().err
+    assert "usage error" in err and "CONFOLKIT_SEED='-1'" in err
+    assert len(err.splitlines()) == 1
 
 
 def test_main_runs_document_to_out_file(tmp_path, capsys):

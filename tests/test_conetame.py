@@ -1,8 +1,11 @@
 """Skew linear algebra: kernels, Pfaffians, pencils, taming, Cayley."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings, strategies as st
 
 from confolkit import conetame
 from confolkit.conetame import (
@@ -24,6 +27,7 @@ from confolkit.conetame import (
     split_cotamed_J,
     taming_check,
     taming_symmetrization,
+    unit_negative_point,
 )
 
 J2 = np.array([[0.0, 1.0], [-1.0, 0.0]])       # Pf = +1 convention block
@@ -289,6 +293,42 @@ def test_taming_conformal_status_invariance():
         s0 = taming_check(omega, J).status
         c = float(rng.uniform(0.1, 10))
         assert taming_check(c * omega, J).status == s0
+
+
+# ---------------------------------------------------------------------------
+# exact sign decisions on (0, 1]
+# ---------------------------------------------------------------------------
+
+def _product_of_roots(sign, roots):
+    """sign * prod (s - r)**m over (r, m) in roots, constant term first."""
+    p = [Fraction(sign)]
+    for r, m in roots:
+        for _ in range(m):
+            p = [(p[k - 1] if k else 0) - r * (p[k] if k < len(p) else 0)
+                 for k in range(len(p) + 1)]
+    return p
+
+
+def _value(p, x):
+    return sum(c * x**k for k, c in enumerate(p))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([1, -1]),
+       st.lists(st.tuples(st.fractions(-1, 2, max_denominator=64),
+                          st.integers(1, 3)), max_size=4))
+def test_unit_negative_point_decides_the_sign(sign, roots):
+    # p is constant in sign between consecutive roots, so its values at 1
+    # and at the middles of the gaps in (0, 1) show whether it goes negative
+    p = _product_of_roots(sign, roots)
+    cuts = sorted({Fraction(0), Fraction(1)}
+                  | {r for r, _ in roots if 0 < r < 1})
+    probes = [Fraction(1)] + [(a + b) / 2 for a, b in zip(cuts, cuts[1:])]
+    negative = any(_value(p, x) < 0 for x in probes)
+    w = unit_negative_point(p)
+    assert (w is not None) == negative
+    if w is not None:
+        assert 0 < w <= 1 and _value(p, w) < 0
 
 
 # ---------------------------------------------------------------------------

@@ -2,12 +2,16 @@
 the open-book collar model and the product blob."""
 
 import dataclasses
+import functools
 import math
 
 import numpy as np
 import pytest
 import sympy as sp
 
+from fractions import Fraction
+
+from confolkit import gallery
 from confolkit.chartfield import Chart, FormFieldNum, d_fd
 from confolkit.conetame import (
     FAIL,
@@ -21,8 +25,10 @@ from confolkit.conetame import (
 from confolkit.confolcheck import (
     BLobData,
     ConfoliationData,
+    Hermite,
     HyperplaneField,
     OpenBookProfiles,
+    Profile,
     SKIPPED,
     StableHamiltonianPair,
     Verdict,
@@ -35,6 +41,7 @@ from confolkit.confolcheck import (
     deformation_collar,
     filling_boundary_check,
     flow_invariance_test,
+    hermite_segment,
     normal_form_verify,
     open_book_confoliation,
     open_book_samples,
@@ -458,15 +465,151 @@ def test_profile_constraints_default_pass():
     pr = default_profiles()
     v = profile_constraints(pr)
     assert v.status == PASS, v.message
-    assert v.margins["shs_residual"] < 1e-9
+    assert v.margins == {"shs_residual": 0.0}
 
 
 def test_open_book_rejects_flat_potential():
     pr = default_profiles()
-    bad = OpenBookProfiles(pr.f, pr.g, pr.h, sp.Integer(0), pr.delta,
+    bad = OpenBookProfiles(pr.f, pr.g, pr.h, Profile((), ((0,),)), pr.delta,
                            pr.stages)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="degenerate slice"):
         open_book_confoliation(1, profiles=bad)
+
+
+def _literal_profiles(delta):
+    """The open-book profiles written out as sympy Piecewise expressions:
+    the reference the piece descriptions must emit."""
+    r = sp.Symbol("r")
+    d1, a, b, d2 = 0.15 * delta, 0.3 * delta, 0.6 * delta, 0.8 * delta
+    half = sp.Rational(1, 2)
+    f = sp.Piecewise((1, r <= a), (hermite_segment(a, b, 1, 0, 0, 0), r <= b),
+                     (0, True))
+    g = sp.Piecewise((0, r <= a), (hermite_segment(a, b, 0, 0, 1, 0), r <= b),
+                     (1, True))
+    h = sp.Piecewise((r, r <= d1),
+                     (hermite_segment(d1, a, d1, 1, half, 0), r <= a),
+                     (half, r <= b),
+                     (hermite_segment(b, d2, half, 0, 0, 0), r <= d2),
+                     (0, True))
+    l = sp.Piecewise((0, r <= d1),
+                     (hermite_segment(d1, a, 0, 0, a / 2, half), r <= a),
+                     (r / 2, r <= b),
+                     (hermite_segment(b, d2, b / 2, half, d2, 1), r <= d2),
+                     (r, True))
+    # openbook-deformation's monotone tail for l
+    l_deformation = sp.Piecewise(
+        (sp.Integer(0), r <= d1),
+        (hermite_segment(d1, a, 0, 0, a / 2, half), r <= a),
+        (r / 2, r <= b),
+        (hermite_segment(b, delta, b / 2, half, 0.45 * delta, 0.25), True))
+    return {"f": f, "g": g, "h": h, "l": l, "l-deformation": l_deformation}
+
+
+@functools.cache
+def _profiles_under_test(delta):
+    pr = default_profiles(delta)
+    entry = gallery.build("openbook-deformation", delta=delta)
+    return {"f": pr.f, "g": pr.g, "h": pr.h, "l": pr.l,
+            "l-deformation": entry.structures["profiles"].l}
+
+
+# 1.01 is the delta gallery.jittered builds
+@pytest.mark.parametrize("delta", [1.0, 1.01])
+def test_profiles_emit_the_literal_piecewise(delta):
+    want = _literal_profiles(delta)
+    got = _profiles_under_test(delta)
+    for name in want:
+        assert sp.srepr(got[name].expr) == sp.srepr(want[name]), name
+
+
+@pytest.mark.parametrize("delta", [1.0, 1.01])
+def test_exact_pieces_match_sympy_derivatives(delta):
+    r = sp.Symbol("r")
+    for name, prof in _profiles_under_test(delta).items():
+        breaks, polys = prof.exact
+        edges = [breaks[0] - 1, *breaks, breaks[-1] + 1]
+        for (e, _), poly, lo, hi in zip(prof.expr.args, polys, edges,
+                                        edges[1:]):
+            de = sp.diff(e, r)
+            dpoly = [k * c for k, c in enumerate(poly)][1:]
+            for t in (Fraction(1, 5), Fraction(1, 2), Fraction(9, 10)):
+                x = lo + (hi - lo) * t
+                want = float(de.subs(r, float(x)))
+                got = float(sum(c * x**k for k, c in enumerate(dpoly)))
+                assert got == pytest.approx(want, rel=1e-9, abs=1e-12), name
+                assert float(sum(c * x**k for k, c in enumerate(poly))) == \
+                    pytest.approx(float(e.subs(r, float(x))), rel=1e-9,
+                                  abs=1e-12), name
+
+
+def test_exact_audit_catches_a_rise_between_grid_points():
+    # f climbs back by 1e-7 on (0.600, 0.602) and falls again by 0.604,
+    # strictly between the points 0.6 and 0.6025 of a 400-point grid
+    pr = default_profiles()
+    bump = Profile((0.3, 0.6, 0.602, 0.604),
+                   ((1,), Hermite(0.3, 0.6, 1, 0, 0, 0),
+                    Hermite(0.6, 0.602, 0, 0, 1e-7, 0),
+                    Hermite(0.602, 0.604, 1e-7, 0, 0, 0), (0,)))
+    v = profile_constraints(dataclasses.replace(pr, f=bump))
+    assert v.status == FAIL and "f' > 0" in v.message
+    assert 0.600 < v.witness < 0.602
+
+
+@pytest.mark.parametrize("name,at,piece,sign,lo,hi", [
+    # g falls past b, l' = 1/2 - 2r turns negative on (a, b], h < 0 past d2
+    ("g", 2, (1 + sp.Rational(6, 10000), -sp.Rational(1, 1000)), "g' < 0",
+     0.6, 0.8),
+    ("l", 2, (0, sp.Rational(1, 2), -1), "l' < 0", 0.3, 0.6),
+    ("h", 4, (-sp.Rational(1, 100),), "h < 0", 0.8, 1.0)])
+def test_exact_audit_names_the_failing_sign(name, at, piece, sign, lo, hi):
+    pr = default_profiles()
+    prof = getattr(pr, name)
+    pieces = prof.pieces[:at] + (piece,) + prof.pieces[at + 1:]
+    v = profile_constraints(dataclasses.replace(
+        pr, **{name: Profile(prof.breaks, pieces)}))
+    assert v.status == FAIL and v.message.endswith(sign)
+    assert lo < v.witness <= hi
+
+
+@pytest.mark.parametrize("name,piece,message", [
+    # h = r + r^2 vanishes linearly but is not r near the binding
+    ("h", (0, 1, 1), "h(r) != r near the binding"),
+    ("f", (sp.Rational(99, 100),), "f != 1 near the binding"),
+    ("g", (sp.Rational(99, 100),), "g != 1 at the outer rim")])
+def test_profile_ends_are_checked_exactly(name, piece, message):
+    pr = default_profiles()
+    prof = getattr(pr, name)
+    at = 0 if name != "g" else len(prof.pieces) - 1
+    pieces = prof.pieces[:at] + (piece,) + prof.pieces[at + 1:]
+    v = profile_constraints(dataclasses.replace(
+        pr, **{name: Profile(prof.breaks, pieces)}))
+    assert v.status == FAIL and v.message == message
+
+
+@pytest.mark.parametrize("name", ["openbook-solid-torus",
+                                  "openbook-s3-binding",
+                                  "openbook-deformation"])
+def test_openbook_profiles_pass_with_zero_residual(name):
+    entry = gallery.build(name)
+    if name == "openbook-deformation":
+        v = profile_constraints(entry.structures["profiles"])
+    else:
+        pair = entry.structures["pair"]
+        v = pair.profile_verdict
+        assert open_book_shs_residual(pair) == 0.0
+    assert v.status == PASS and v.margins == {"shs_residual": 0.0}
+
+
+def test_profile_audit_calls_neither_diff_nor_lambdify(monkeypatch):
+    pair = open_book_confoliation(1)
+
+    def forbidden(*args, **kw):
+        raise AssertionError("sympy called by the profile audit")
+
+    monkeypatch.setattr(sp, "diff", forbidden)
+    monkeypatch.setattr(sp, "lambdify", forbidden)
+    assert profile_constraints(pair.profiles).status == PASS
+    assert open_book_shs_residual(pair) == 0.0
 
 
 def test_open_book_n1_bundle():
