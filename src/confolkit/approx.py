@@ -39,7 +39,7 @@ from .confolcheck import (SKIPPED, ConfoliationData, HyperplaneField, Verdict,
 __all__ = [
     "DeformationFamily", "PartitionedForm", "StratumData", "StratumLimit",
     "ConformalLimitReport", "base_table", "limit_inputs", "stratum_eta",
-    "practical_mu", "conformal_limit", "compat_check", "approx_verdict",
+    "conformal_limit", "compat_check", "approx_verdict",
     "table_d", "table_wedge", "table_wedge_power", "table_contract",
     "table_to_field",
 ]
@@ -112,18 +112,17 @@ class DeformationFamily:
     """One-form family alpha_s over a chart, degenerating onto a base.
 
     The base is a ConfoliationData (beta plus ambient two-form omega); the
-    family is given symbolically (index-keyed coefficient table in the
-    coordinates and the parameter) and/or as a callable s -> FormFieldNum.
-    ``dalpha_of`` gives the exact d of a symbolic family; without it the
-    hyperplane fields take the finite-difference d.
+    family is an index-keyed coefficient table in the coordinates and the
+    parameter.  ``alpha_of`` and ``dalpha_of`` are that table and its exact
+    d compiled once: s -> FormFieldNum.
     """
 
     chart: Chart
     base: ConfoliationData
     param: sp.Symbol
-    table: dict = None
-    alpha_of: object = None
-    dalpha_of: object = None
+    table: dict
+    alpha_of: object
+    dalpha_of: object
 
     @property
     def n(self):
@@ -144,25 +143,9 @@ class DeformationFamily:
                    dalpha_of=compile_table(chart, table_d(chart, table), 2,
                                            (param,)))
 
-    @classmethod
-    def from_sequence(cls, chart, fields, omega, base_table, param="m",
-                      tau_rank=1e-7, tau_pos=1e-9):
-        """``fields``: callable m -> FormFieldNum, sampled at integer m
-        (a ladder value s reads m = round(1/s))."""
-        param = sp.Symbol(param) if isinstance(param, str) else param
-        base_h = HyperplaneField.from_symbolic(chart, base_table)
-        if isinstance(omega, dict):
-            omega = table_to_field(chart, omega, 2)
-        base = ConfoliationData(base_h, omega, tau_rank, tau_pos)
-        fam = cls(chart, base, param)
-        fam.alpha_of = lambda s: fields(2 ** 40 if s <= 0
-                                        else max(1, round(1.0 / s)))
-        return fam
-
     # -- evaluation --------------------------------------------------------
     def hyperplane_at(self, s):
-        dalpha = self.dalpha_of(s) if self.dalpha_of is not None else None
-        return HyperplaneField(self.chart, self.alpha_of(s), dalpha)
+        return HyperplaneField(self.chart, self.alpha_of(s), self.dalpha_of(s))
 
     def base_consistency(self, samples, tau=1e-9):
         """alpha at s=0 spans the same line as beta at each sample."""
@@ -225,9 +208,8 @@ def limit_inputs(fam: DeformationFamily, pf: PartitionedForm):
     """Stratum label -> (order, samples, zeta, eta, mu) on every non-contact
     stratum (2k+3 <= dim), in partition order.
 
-    zeta is ``zeta_table``, else the family's own top form
-    alpha_s ^ dalpha_s^(k+1) (the exact table of a symbolic family, the
-    finite-difference callable otherwise).  eta is ``eta_table``, else
+    zeta is ``zeta_table``, else the exact table of the family's own top
+    form alpha_s ^ dalpha_s^(k+1).  eta is ``eta_table``, else
     beta ^ dbeta^k ^ mu.  mu is compiled from ``mu_table`` on
     first use and kept on the StratumData; without either, mu is None and so
     is a default eta.
@@ -238,10 +220,8 @@ def limit_inputs(fam: DeformationFamily, pf: PartitionedForm):
         k = sd.order
         if 2 * k + 3 > chart.dim:
             continue
-        zeta = sd.zeta_table
-        if zeta is None:
-            zeta = (table_top(chart, fam.table, k) if fam.table is not None
-                    else _family_top(fam, k))
+        zeta = (sd.zeta_table if sd.zeta_table is not None
+                else table_top(chart, fam.table, k))
         out[lab] = (k, sd.samples, zeta, stratum_eta(fam, sd),
                     _stratum_mu(chart, sd))
     return out
@@ -314,72 +294,6 @@ def _ratio_match(zcomp, ecomp, tau):
         return None, 1.0
     resid = float(np.max(np.abs(e - ratio * z)) / se)
     return ratio, resid
-
-
-# ---------------------------------------------------------------------------
-# practical contraction families
-# ---------------------------------------------------------------------------
-
-def practical_mu(fam: DeformationFamily, order, xbar, samples, tau=1e-9):
-    """iota_Xbar(alpha_s ^ dalpha_s^(k+1)) on a stratum of order k.
-
-    ``xbar`` is a list of constant ambient vectors whose iterated interior
-    product realizes the normalizing multivector: applied left to right, it
-    must send beta ^ dbeta^k to the constant 1 at every stratum sample
-    (checked to ``tau``).  Returns a symbolic coefficient table in the
-    parameter when the family is symbolic, else a callable s -> FormFieldNum.
-    On the top stratum (2k+3 exceeding the chart dimension) the wedge is
-    identically zero and the operation is vacuous.
-    """
-    chart, k = fam.chart, order
-    xbar = [np.asarray(v, float) for v in xbar]
-    if 2 * k + 3 > chart.dim:
-        if fam.table is not None:
-            return {}
-        return lambda s: FormFieldNum(chart, max(chart.dim - 2 * k - 2, 0), {})
-
-    # normalization against the base
-    base_f = _beta_k(fam.base.h, k)
-    for p in samples:
-        T = base_f.eval_at(p)
-        for v in xbar:
-            T = np.tensordot(v, T, axes=([0], [0]))
-        if abs(float(T) - 1.0) > tau:
-            raise ValueError(
-                f"normalization residual {abs(float(T) - 1.0):.3e} at "
-                f"{p}: iota_Xbar(beta ^ dbeta^{k}) != 1")
-
-    if fam.table is not None:
-        zt = table_top(chart, fam.table, k)
-        for v in xbar:
-            zt = table_contract(chart, zt, v)
-        return zt
-
-    top = _family_top(fam, k)
-
-    def family(s):
-        out = top(s)
-        for v in xbar:
-            out = _field_contract(out, v)
-        return out
-    return family
-
-
-def _field_contract(f: FormFieldNum, v):
-    v = np.asarray(v, float)
-    out = {}
-    for key, fn in f.coeffs.items():
-        for pos, idx in enumerate(key):
-            if v[idx] == 0:
-                continue
-            rest = key[:pos] + key[pos + 1:]
-            c = (-1 if pos % 2 else 1) * v[idx]
-            term = (lambda g, cc: lambda p: cc * g(p))(fn, c)
-            if rest in out:
-                out[rest] = (lambda a, b: lambda p: a(p) + b(p))(out[rest], term)
-            else:
-                out[rest] = term
-    return FormFieldNum(f.chart, f.degree - 1, out)
 
 
 # ---------------------------------------------------------------------------

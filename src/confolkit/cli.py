@@ -469,6 +469,7 @@ class _Parser:
         name = "-".join(parts)
         if name not in _gallery.names():
             self.fail(f"unknown gallery entry '{name}'", kw)
+        allowed = inspect.signature(_gallery._BUILDERS[name]).parameters
         params = []
         while (self.peek().kind == "name"
                and self.peek().text not in _KEYWORDS
@@ -481,10 +482,18 @@ class _Parser:
             else:
                 val = self.signed_number()
             params.append((key, val))
-        allowed = inspect.signature(_gallery._BUILDERS[name]).parameters
-        for key, _ in params:
             if key not in allowed:
                 self.fail(f"entry '{name}' has no parameter '{key}'", kw)
+            # the builder's default fixes the type: int or float
+            if isinstance(allowed[key].default, int):
+                if not re.fullmatch(r"-?\d+", val):
+                    self.fail(f"parameter '{key}' takes an integer, "
+                              f"got {val!r}", t)
+            elif t.kind == "name":
+                self.fail(f"parameter '{key}' takes a number, got {val!r}",
+                          t)
+            if key == "seed" and float(val) < 0:
+                self.fail(f"seed must be an integer >= 0, got {val}", t)
         stmt = GalleryStmt(name, tuple(params), span=(kw.line, kw.col))
         self.checks.append(("gallery", stmt))
         return stmt
@@ -669,8 +678,13 @@ class _Parser:
         if B.degree() not in (2, None):
             self.fail(f"'{stmt.b}' must be a 2-form", bt)
         tab_b = self.lower_numeric(B, 2, bt, allow_param=False)
+        tab_a = self.lower_numeric(A, 1, at,
+                                   allow_param=stmt.kind == "approx")
+        dim = self.chart.dim
+        if dim < 3 or dim % 2 == 0:
+            raise CflError(f"check {stmt.kind} needs an odd-dimensional "
+                           f"chart of dimension >= 3, not {dim}", *stmt.span)
         if stmt.kind == "approx":
-            tab_a = self.lower_numeric(A, 1, at, allow_param=True)
             used = set().union(*(e.free_symbols for e in tab_a.values())) \
                 if tab_a else set()
             pars = [p for p in self.params if sp.Symbol(p) in used]
@@ -682,7 +696,6 @@ class _Parser:
             except ValueError as exc:
                 self.fail(str(exc), at)
             return ("approx", stmt, tab_a, tab_b, pars[0])
-        tab_a = self.lower_numeric(A, 1, at, allow_param=False)
         return (stmt.kind, stmt, tab_a, tab_b)
 
 
@@ -949,15 +962,13 @@ def _run_shs(doc, entry, flags):
 
 def _run_gallery(doc, entry, flags):
     stmt = entry[1]
-    params = {}
-    for k, v in stmt.params:
-        if re.fullmatch(r"-?\d+", v):
-            params[k] = int(v)
-        elif re.fullmatch(r"-?\d+(\.\d+)?([eE][+-]?\d+)?", v):
-            params[k] = float(v)
-        else:
-            params[k] = v
-    ge = _gallery.build(stmt.name, **params)
+    # the parser admits only numbers here
+    params = {k: int(v) if re.fullmatch(r"-?\d+", v) else float(v)
+              for k, v in stmt.params}
+    try:
+        ge = _gallery.build(stmt.name, **params)
+    except ValueError as exc:
+        raise CflError(str(exc), *stmt.span) from None
     rows = ge.run_verdicts()
     got = {k: v.status for k, v in rows.items()}
     bad = {k: (ge.expected[k], got[k]) for k in ge.expected
@@ -1212,11 +1223,10 @@ def main(argv=None):
         print(f"confolkit: usage error: {e}", file=sys.stderr)
         return 3
     try:
-        doc = parse(text)
+        report = run(parse(text), flags)
     except CflError as e:
         print(f"confolkit: {flags.file}:{e}", file=sys.stderr)
         return 3
-    report = run(doc, flags)
     payload = report.to_json() if flags.format == "json" else report.to_text()
     if flags.out:
         with open(flags.out, "w", encoding="utf-8") as fh:

@@ -632,52 +632,6 @@ def compatible_J(omega, g=None, tau_pos=DEFAULT_TAU_POS):
     return ComplexStructureMatrix(J, tau_pos)
 
 
-def mu_from_J(J, dalpha, g=None, max_exponent=40, tau_pos=DEFAULT_TAU_POS):
-    """Auxiliary-metric two-form mu_g(v,w) = (g(Jv,w) - g(v,Jw))/2 and the
-    smallest power-of-two C with the pencil mu_g + C*dalpha positive against
-    dalpha."""
-    Jm = J.J if isinstance(J, ComplexStructureMatrix) else np.asarray(J)
-    n = len(Jm)
-    g = np.eye(n) if g is None else np.asarray(g, dtype=float)
-    mu_g = 0.5 * (Jm.T @ g - g @ Jm)
-    for k in range(-20, max_exponent + 1):
-        C = 2.0 ** k
-        pv = pencil_positive(SkewPair(mu_g + C * _skew(dalpha), _skew(dalpha)),
-                             closed=True)
-        if pv.status == PASS:
-            return mu_g, C
-    raise RuntimeError("no power-of-two C found up to the search cap")
-
-
-def find_T_taming(J, omega_M, dalpha, tau_pos=DEFAULT_TAU_POS, max_exponent=40):
-    """Doubling/halving search for T with omega_M + T*dalpha taming J.
-
-    Returns (T, verdict); minimal within a factor of two.  UNDETERMINED when
-    the doubling cap is exhausted.
-    """
-    def passes(T):
-        v = taming_check(omega_M + T * _skew(dalpha), J, None, tau_pos)
-        return v.status == PASS, v
-
-    ok, v = passes(1.0)
-    if ok:
-        T = 1.0
-        while T > 2.0 ** (-max_exponent):
-            ok2, v2 = passes(T / 2)
-            if not ok2:
-                break
-            T, v = T / 2, v2
-        return T, v
-    T = 2.0
-    while T <= 2.0 ** max_exponent:
-        ok, v = passes(T)
-        if ok:
-            return T, v
-        T *= 2
-    return None, TamingVerdict(UNDETERMINED,
-                               message="doubling search cap exhausted")
-
-
 # ---------------------------------------------------------------------------
 # split cotamed construction with Cayley feasibility fallback
 # ---------------------------------------------------------------------------

@@ -1,18 +1,17 @@
-"""Manifold-level verifiers: order fields, confoliation and cone verdicts,
-stable Hamiltonian pairs, flows, collars, the open-book constructor, and
-pointwise bLob checks.
+"""Manifold-level verifiers: order fields, confoliation verdicts, stable
+Hamiltonian pairs, the open-book constructor, and pointwise bLob checks.
 
 All verifiers are pointwise at sampled points and return Verdict records.
 Samples are an ``(N, dim)`` float array, one point per row, and a witness
 is one of its rows.  Tolerances are keyword arguments, among them the
-finite-difference step ``h`` that scales the bands of ``shs_check``, the
-strong ``filling_boundary_check`` and ``transversely_exact_check``.
+finite-difference step ``h`` that scales the bands of ``shs_check`` and
+``transversely_exact_check``.
 The sample loops of ``order_at``/``rank_stratify``, ``confoliation_check``
 and ``shs_check`` evaluate their forms once on all samples (chartfield's
 batched evaluation) and then decide sample by sample in sample order, so a
 FAIL's witness is the first failing sample.  Status vocabulary: PASS / FAIL
-(with witness sample) / UNDETERMINED (tolerance ambiguity or exhausted
-search) / SKIPPED (declared-global conditions that samples cannot certify).
+(with witness sample) / UNDETERMINED (tolerance ambiguity) / SKIPPED
+(declared-global conditions that samples cannot certify).
 """
 
 from __future__ import annotations
@@ -137,15 +136,15 @@ def _skew_rows(M):
 
 
 class HyperplaneField:
-    """ker(alpha) on a chart, with dalpha cached (exact when built from a
-    coefficient table, finite-difference otherwise)."""
+    """ker(alpha) on a chart, with its dalpha (exact when built from a
+    coefficient table)."""
 
-    def __init__(self, chart, alpha: FormFieldNum, dalpha: FormFieldNum = None,
+    def __init__(self, chart, alpha: FormFieldNum, dalpha: FormFieldNum,
                  symbolic_table: dict = None):
         self.chart = chart
         self.alpha = alpha
         self.symbolic_table = symbolic_table
-        self.dalpha = dalpha if dalpha is not None else d_fd(alpha)
+        self.dalpha = dalpha
         self._powers = None
 
     @classmethod
@@ -289,6 +288,15 @@ class ConfoliationData:
     tau_pos: float = 1e-9
 
 
+def _rank_band(tau_rank, rank, sigmas, witness) -> Verdict:
+    """UNDETERMINED where the rank cut at ``tau_rank`` leaves an odd rank of
+    dalpha on xi; the margin is the singular values on either side of it."""
+    return Verdict(UNDETERMINED,
+                   {"tolerance": "tau_rank", "tau": tau_rank,
+                    "margin": sigmas_at_cut(rank, sigmas).tolist()},
+                   witness, odd_rank_message(rank, sigmas))
+
+
 def confoliation_check(c: ConfoliationData, samples) -> Verdict:
     """mu symplectically compatible: mu + t*dalpha nondegenerate on xi for
     t > 0, and mu nondegenerate on K_xi, at every sample.
@@ -332,10 +340,7 @@ def confoliation_check(c: ConfoliationData, samples) -> Verdict:
                            message=f"pencil: {pv.message}")
         rank = skew_rank(sig[i], c.tau_rank)
         if rank % 2:
-            return Verdict(UNDETERMINED,
-                           {"tolerance": "tau_rank", "tau": c.tau_rank,
-                            "margin": sigmas_at_cut(rank, sig[i]).tolist()},
-                           p, odd_rank_message(rank, sig[i]))
+            return _rank_band(c.tau_rank, rank, sig[i], p)
         if rank < m - 1:                # K_xi = ker(dalpha|xi) is nonzero
             K = B[i] @ Vt[i][rank:].T
             mu_K = K.T @ MU[i] @ K
@@ -346,94 +351,6 @@ def confoliation_check(c: ConfoliationData, samples) -> Verdict:
                                message="mu degenerate on K_xi")
             worst = min(worst, abs(pf) / scale)
     return Verdict(PASS, margins={"min_K_pfaffian": worst})
-
-
-def cone_membership(c: ConfoliationData, omega: FormFieldNum, samples,
-                    tau=1e-6) -> Verdict:
-    """Least-squares (f, g) with omega|_xi = f mu|_xi + g dalpha|_xi."""
-    fs, gs = [], []
-    for p in samples:
-        xi = c.h.xi_basis(p)
-        W = xi.restrict(omega.eval_at(p))
-        A = xi.restrict(c.mu.eval_at(p))
-        B = xi.restrict(c.h.dalpha.eval_at(p))
-        iu = np.triu_indices(xi.dim, 1)
-        M = np.column_stack([A[iu], B[iu]])
-        if np.linalg.matrix_rank(M, tol=1e-10) < 2:
-            return Verdict(UNDETERMINED, witness=p,
-                           message="mu and dalpha proportional on xi: "
-                                   "regression rank-deficient")
-        sol, res, *_ = np.linalg.lstsq(M, W[iu], rcond=None)
-        resid = np.linalg.norm(M @ sol - W[iu]) / max(np.linalg.norm(W[iu]), 1e-30)
-        if resid > tau:
-            return Verdict(FAIL, witness=p,
-                           message=f"residual {resid:.2e} outside cone")
-        f, g = sol
-        if f <= c.tau_pos or g <= c.tau_pos:
-            return Verdict(FAIL, witness=p, margins={"f": f, "g": g},
-                           message=f"nonpositive cone coefficients f={f:.3g}, "
-                                   f"g={g:.3g}")
-        fs.append(f)
-        gs.append(g)
-    return Verdict(PASS, margins={"f": fs, "g": gs})
-
-
-def filling_boundary_check(c: ConfoliationData, Omega: FormFieldNum, mode,
-                           samples, mu0: FormFieldNum = None,
-                           alpha_prim: FormFieldNum = None,
-                           tau=1e-6, h=1e-4) -> Verdict:
-    """Boundary compatibility in one of the three filling senses.
-
-    The strong mode's finite-difference closedness test is the band
-    ||d mu0|| <= 100 h; ``h`` scales that band only (d_fd takes the
-    chart's step).
-    """
-    if mode == "weak":
-        for p in samples:
-            xi = c.h.xi_basis(p)
-            K = char_dist_at(c.h, p, c.tau_rank, xi)
-            if K.status != PASS:
-                return Verdict(UNDETERMINED, witness=p, message=K.message)
-            if K.subspace.dim:
-                WK = K.subspace.restrict(Omega.eval_at(p))
-                MK = K.subspace.restrict(c.mu.eval_at(p))
-                iu = np.triu_indices(K.subspace.dim, 1)
-                denom = float(MK[iu] @ MK[iu])
-                if denom < 1e-24:
-                    return Verdict(UNDETERMINED, witness=p,
-                                   message="mu vanishes on K_xi")
-                f = float(WK[iu] @ MK[iu]) / denom
-                resid = np.linalg.norm(WK[iu] - f * MK[iu])
-                if resid > tau * max(np.linalg.norm(WK[iu]), 1.0) or f <= 0:
-                    return Verdict(FAIL, witness=p,
-                                   message=f"Omega|_K != f mu|_K (f={f:.3g}, "
-                                           f"residual {resid:.2e})")
-            pv = pencil_positive(SkewPair(xi.restrict(Omega.eval_at(p)),
-                                          xi.restrict(c.h.dalpha.eval_at(p))),
-                                 closed=True)
-            if pv.status != PASS:
-                return Verdict(pv.status, witness=p,
-                               message=f"joint cone pencil: {pv.message}")
-        return Verdict(PASS)
-    if mode == "quasi-strong":
-        return cone_membership(c, Omega, samples, tau)
-    if mode == "strong":
-        if mu0 is None or alpha_prim is None:
-            raise ValueError("strong mode needs mu0 and the primitive alpha")
-        dmu0 = d_fd(mu0)
-        dprim = d_fd(alpha_prim)
-        for p in samples:
-            resid = np.linalg.norm(
-                Omega.eval_at(p) - mu0.eval_at(p) - dprim.eval_at(p))
-            if resid > tau * max(np.linalg.norm(Omega.eval_at(p)), 1.0):
-                return Verdict(FAIL, witness=p,
-                               message=f"Omega != mu0 + d(alpha): {resid:.2e}")
-            closed = np.linalg.norm(dmu0.eval_at(p))
-            if closed > 100 * h:
-                return Verdict(FAIL, witness=p,
-                               message=f"mu0 not closed: ||d mu0|| = {closed:.2e}")
-        return Verdict(PASS)
-    raise ValueError(f"unknown filling mode {mode!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -507,7 +424,7 @@ def shs_check(s: StableHamiltonianPair, samples, tau=1e-9,
 
 
 # ---------------------------------------------------------------------------
-# flow invariance / normal form / collars
+# flow invariance
 # ---------------------------------------------------------------------------
 
 def flow_invariance_test(h: HyperplaneField, p, t_flow=None, tau=None) -> Verdict:
@@ -546,143 +463,6 @@ def flow_invariance_test(h: HyperplaneField, p, t_flow=None, tau=None) -> Verdic
         return Verdict(FAIL, margins={"residual": resid}, witness=p,
                        message=f"pullback not parallel: {resid:.2e}")
     return Verdict(PASS, margins={"residual": resid})
-
-
-def normal_form_verify(h: HyperplaneField, phi, k, model_chart, samples,
-                       tau=1e-6) -> Verdict:
-    """phi^* alpha must be a positive multiple of dz + sum_1^k x_i dy_i.
-
-    ``model_chart`` names must contain z, x1..xk, y1..yk.
-    """
-    pb = pullback(h.alpha, phi, model_chart)
-    target = {model_chart.index("z"): sp.Integer(1)}
-    for i in range(1, k + 1):
-        target[model_chart.index(f"y{i}")] = sp.Symbol(f"x{i}")
-    tgt = FormFieldNum.from_symbolic(model_chart, 1,
-                                     {(i,): e for i, e in target.items()})
-    for p in samples:
-        a = pb.eval_at(p)
-        b = tgt.eval_at(p)
-        f = float(a @ b) / float(b @ b)
-        resid = np.linalg.norm(a - f * b) / max(np.linalg.norm(a), 1e-30)
-        if f <= 0 or resid > tau:
-            return Verdict(FAIL, witness=p,
-                           margins={"f": f, "residual": resid},
-                           message="not a positive multiple of the order-"
-                                   f"{k} normal form")
-    return Verdict(PASS)
-
-
-def collar_chart(chart: Chart, T):
-    return Chart(("t",) + tuple(chart.names), ((0.0, T),) + tuple(chart.box),
-                 periodic=chart.periodic)
-
-
-def _shift_field(field_M: FormFieldNum, product: Chart):
-    """Reindex a field on M to the collar chart [0,T] x M (t has index 0)."""
-    out = {tuple(i + 1 for i in key): (lambda f: lambda p: f(p[1:]))(fn)
-           for key, fn in field_M.coeffs.items()}
-    return FormFieldNum(product, field_M.degree, out)
-
-
-def collar_extend(h: HyperplaneField, Omega_M: FormFieldNum, T, samples_M,
-                  t_values=(0.0, 0.5, 1.0), tau=1e-9) -> tuple:
-    """Omega = d(t alpha) + Omega_M on [0,T] x M; checks Omega^{n+1} > 0."""
-    product = collar_chart(h.chart, T)
-    alpha_c = _shift_field(h.alpha, product)
-    dalpha_c = _shift_field(h.dalpha, product)
-    omega_c = _shift_field(Omega_M, product)
-    dt = FormFieldNum(product, 1, {(0,): lambda p: 1.0})
-    t_coord = lambda p: p[0]
-
-    Omega = dt.wedge(alpha_c) + dalpha_c.scale(t_coord) + omega_c
-    n1 = (product.dim) // 2
-    top = Omega.wedge_power(n1)
-    key = tuple(range(product.dim))
-    for tv in t_values:
-        for p in samples_M:
-            q = np.concatenate([[tv * T], p])
-            vol = top.components(q).get(key, 0.0) / math.factorial(n1)
-            if vol <= tau:
-                return Omega, Verdict(FAIL, witness=q,
-                                      message=f"Omega^{n1} = {vol:.3e} "
-                                              "not positive on the collar")
-    return Omega, Verdict(PASS)
-
-
-def deformation_collar(h: HyperplaneField, Omega_M: FormFieldNum,
-                       beta: FormFieldNum, T, rho=None, samples_M=(),
-                       max_retries=4, tau=1e-9) -> tuple:
-    """Omega = d(t alpha) + Omega_M + d(rho(t) beta) with rho(0)=0, rho(T)=1.
-
-    Precondition: (Omega_M + s d beta)|_{K_xi} nondegenerate for s in [0,1].
-    Retries with flatter rho (doubling T) before giving up UNDETERMINED.
-    """
-    dbeta = d_fd(beta)
-    xis = []                # xi at each sample, for the retries below
-    for p in samples_M:
-        xis.append(h.xi_basis(p))
-        K = char_dist_at(h, p, xi=xis[-1])
-        if K.status != PASS:
-            return None, Verdict(UNDETERMINED, message=K.message)
-        if K.subspace.dim == 0:
-            continue
-        for sv in np.linspace(0, 1, 5):
-            MK = K.subspace.restrict(Omega_M.eval_at(p)
-                                     + sv * dbeta.eval_at(p))
-            if abs(pfaffian(MK)) <= tau * max(np.linalg.norm(MK), 1e-30):
-                return None, Verdict(
-                    FAIL, witness=p,
-                    message=f"(Omega_M + s d beta) degenerate on K_xi at "
-                            f"s={sv:g}: precondition")
-    T_cur = T
-    for attempt in range(max_retries + 1):
-        product = collar_chart(h.chart, T_cur)
-        alpha_c = _shift_field(h.alpha, product)
-        dalpha_c = _shift_field(h.dalpha, product)
-        omega_c = _shift_field(Omega_M, product)
-        beta_c = _shift_field(beta, product)
-        dbeta_c = _shift_field(dbeta, product)
-        Tc = T_cur
-        rho_fn = rho if rho is not None else (
-            lambda t, Tc=Tc: 3 * (t / Tc) ** 2 - 2 * (t / Tc) ** 3)
-        eps = 1e-6 * Tc
-        # np.minimum/np.maximum so the collar form also takes a batch
-        drho = lambda t, Tc=Tc: (rho_fn(np.minimum(t + eps, Tc)) -
-                                 rho_fn(np.maximum(t - eps, 0.0))) / (
-            np.minimum(t + eps, Tc) - np.maximum(t - eps, 0.0))
-        dt = FormFieldNum(product, 1, {(0,): lambda p: 1.0})
-        Omega = (dt.wedge(alpha_c) + dalpha_c.scale(lambda p: p[0])
-                 + omega_c + dt.wedge(beta_c).scale(lambda p: drho(p[0]))
-                 + dbeta_c.scale(lambda p: rho_fn(p[0])))
-        n1 = product.dim // 2
-        top = Omega.wedge_power(n1)
-        key = tuple(range(product.dim))
-        ok = True
-        for tv in np.linspace(0, 1, 5):
-            for p, xi in zip(samples_M, xis):
-                q = np.concatenate([[tv * T_cur], p])
-                vol = top.components(q).get(key, 0.0) / math.factorial(n1)
-                if vol <= tau:
-                    ok = False
-                    break
-                slice_form = xi.restrict(Omega_M.eval_at(p)
-                                         + rho_fn(tv * T_cur)
-                                         * dbeta.eval_at(p))
-                da_xi = xi.restrict(h.dalpha.eval_at(p))
-                if pencil_positive(SkewPair(slice_form, da_xi),
-                                   closed=True).status == FAIL:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            return Omega, Verdict(PASS, margins={"T": T_cur,
-                                                 "retries": attempt})
-        T_cur *= 2
-        rho = None       # retry with the default, flatter profile
-    return None, Verdict(UNDETERMINED,
-                         message=f"no (T, rho) found up to T={T_cur / 2:g}")
 
 
 # ---------------------------------------------------------------------------
@@ -1051,8 +831,7 @@ def blob_pointwise_check(c: ConfoliationData, b: BLobData, samples_N,
         K = char_dist_at(c.h, np.asarray(b.psi(p), dtype=float),
                          c.tau_rank)
         if K.status != PASS:
-            sub["item1"] = Verdict(UNDETERMINED, witness=p,
-                                   message=K.message)
+            sub["item1"] = _rank_band(c.tau_rank, K.rank, K.sigmas, p)
             break
         ranks.add(K.subspace.dim)
     else:
@@ -1184,7 +963,7 @@ def transversely_exact_check(c: ConfoliationData, b: BLobData,
             F = np.asarray(FU_basis(pM), dtype=float)
             K = char_dist_at(c.h, pM, c.tau_rank)
             if K.status != PASS:
-                ok = Verdict(UNDETERMINED, witness=p, message=K.message)
+                ok = _rank_band(c.tau_rank, K.rank, K.sigmas, p)
                 break
             FS = _subspace_intersection(F, S)
             KS = _subspace_intersection(K.subspace.basis, S)
@@ -1206,7 +985,7 @@ def transversely_exact_check(c: ConfoliationData, b: BLobData,
         pM = np.asarray(b.psi(p), dtype=float)
         K = char_dist_at(c.h, pM, c.tau_rank)
         if K.status != PASS:
-            ok = Verdict(UNDETERMINED, witness=p, message=K.message)
+            ok = _rank_band(c.tau_rank, K.rank, K.sigmas, p)
             break
         gK = np.linalg.norm(gamma.eval_at(pM) @ K.subspace.basis) \
             if K.subspace.dim else 0.0

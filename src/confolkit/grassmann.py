@@ -629,19 +629,6 @@ class FormAlgebra:
     def d_of_gen(self, idx):
         return self._diffs.get(idx)
 
-    # -- invariants --------------------------------------------------------
-    def validate(self):
-        """Check d(d(g)) == 0 for every generator under the relation set."""
-        bad = []
-        for g in self.gens:
-            dd = FormExpr(self, {(g.index,): sp.Integer(1)}).d().d()
-            z = dd.is_zero()
-            if z is not True:
-                bad.append((g.name, z))
-        if bad:
-            raise ValueError(f"d∘d does not vanish for: {bad}")
-        return True
-
     def _monomial_ok(self, key):
         if self.top_degree is not None:
             if sum(self.gens[i].degree for i in key) > self.top_degree:
@@ -928,14 +915,6 @@ class ParamExpansion:
             if p == k:
                 return f
         raise KeyError(k)
-
-    def lowest(self):
-        """(power, coefficient form) of the lowest nonvanishing power."""
-        for p in self.powers():
-            f = self.by_power[p]
-            if f.is_zero() is not True:
-                return p, f
-        raise ValueError("expansion is identically zero")
 
 
 def wedge_all(*forms):

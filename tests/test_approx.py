@@ -1,5 +1,5 @@
-"""Deformation analyzer tests: table algebra, practical contractions,
-conformal limits on both paths, bivariate compatibility, full bundles."""
+"""Deformation analyzer tests: table algebra, conformal limits on both
+paths, bivariate compatibility, full bundles."""
 
 import dataclasses
 import math
@@ -22,7 +22,6 @@ from confolkit.approx import (
     approx_verdict,
     compat_check,
     conformal_limit,
-    practical_mu,
     table_contract,
     table_d,
     table_to_field,
@@ -141,17 +140,6 @@ def test_family_singular_at_the_base_is_a_value_error():
                                      {("x", "y"): 1})
 
 
-def test_family_from_sequence_base():
-    lam = {"z": 1}
-    def fields(m):
-        return table_to_field(
-            R5, {("z",): 1, ("y1",): sp.Rational(1, m) * x1}, 1)
-    fam = DeformationFamily.from_sequence(
-        R5, fields, {("x1", "y1"): 1}, lam, param="m")
-    v = fam.base_consistency(GENERIC, tau=1e-9)
-    assert v.status == PASS
-
-
 @pytest.mark.parametrize("name", ["r5-cubic", "r5-flat-negative",
                                   "bertelson-meigniez-r5", "branched-cover-r3",
                                   "mnw-torus", "openbook-deformation"])
@@ -179,42 +167,6 @@ def test_compiled_family_matches_substituted_table(name):
 # ---------------------------------------------------------------------------
 # practical contraction families
 # ---------------------------------------------------------------------------
-
-def test_practical_mu_linear_deformation():
-    fam = DeformationFamily.from_table(
-        R5, {"z": 1, "y1": s * x1, "y2": s * x2},
-        {("x1", "y1"): 1, ("x2", "y2"): 1}, param=s)
-    ez = np.zeros(5); ez[4] = 1.0
-    mu_s = practical_mu(fam, 0, [ez], GENERIC)
-    # iota_dz(alpha_s ^ dalpha_s) = s(dx1dy1 + dx2dy2), exactly
-    assert set(mu_s) == {(0, 1), (2, 3)}
-    assert sp.expand(mu_s[(0, 1)] - s) == 0
-    assert sp.expand(mu_s[(2, 3)] - s) == 0
-
-
-def test_practical_mu_normalization_guard():
-    fam = cubic_family()
-    ez = np.zeros(5); ez[4] = 2.0    # beta(2 dz-dual) = 2, not 1
-    with pytest.raises(ValueError, match="normalization"):
-        practical_mu(fam, 0, [ez], GENERIC)
-
-
-def test_practical_mu_vacuous_on_contact_stratum():
-    fam = cubic_family()
-    assert practical_mu(fam, fam.n, [], GENERIC) == {}
-
-
-def test_practical_mu_multivector_cubic_c1():
-    # X = dz-, dx2-, dy2-duals contract beta ^ dbeta to 1 on {x1 = 0}
-    fam = cubic_family()
-    ez = np.zeros(5); ez[4] = 1.0
-    ex2 = np.zeros(5); ex2[2] = 1.0
-    ey2 = np.zeros(5); ey2[3] = 1.0
-    mu_s = practical_mu(fam, 1, [ez, ex2, ey2], ON_C1)
-    lead = {k: sp.expand(e.subs(x1, 0)) for k, e in mu_s.items()}
-    lead = {k: e for k, e in lead.items() if e != 0}
-    assert set(lead) == {(0, 1)}
-    assert sp.expand(lead[(0, 1)] - 2 * s) == 0
 
 
 # ---------------------------------------------------------------------------

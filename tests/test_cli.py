@@ -866,6 +866,41 @@ def test_main_reports_parse_position(tmp_path, capsys):
     assert f"{f}:1:10: undeclared identifier 'dq'" in err
 
 
+@pytest.mark.parametrize("doc, kind, dim", [
+    ("chart x y z w\nform a = dz\nform b = dx ^ dy\n", "confoliation", 4),
+    ("chart x y z w\nform a = dz\nform b = dx ^ dy\n", "shs", 4),
+    ("chart x y z w\nparam s\nform a = dz + s * x * dy\nform b = dx ^ dy\n",
+     "approx", 4),
+    ("chart x\nform a = dx\nform b = dx ^ dx\n", "confoliation", 1)],
+    ids=["confoliation-dim4", "shs-dim4", "approx-dim4", "confoliation-dim1"])
+def test_main_check_needs_odd_chart_of_dimension_3(tmp_path, capsys, doc,
+                                                    kind, dim):
+    f = tmp_path / "even.cfl"
+    f.write_text(doc + f"check {kind} a b\n")
+    assert main([str(f)]) == 3
+    line = doc.count("\n") + 1
+    assert capsys.readouterr().err == (
+        f"confolkit: {f}:{line}:1: check {kind} needs an odd-dimensional "
+        f"chart of dimension >= 3, not {dim}\n")
+
+
+@pytest.mark.parametrize("params, col, message", [
+    ("openbook-solid-torus delta=0", 1, "profile breakpoints must increase"),
+    ("bourgeois-abstract n=0", 1, "bourgeois-abstract needs n >= 2"),
+    ("mnw-torus n=foo", 21, "parameter 'n' takes an integer, got 'foo'"),
+    ("mnw-torus n=1.5", 21, "parameter 'n' takes an integer, got '1.5'"),
+    ("openbook-solid-torus delta=big", 36,
+     "parameter 'delta' takes a number, got 'big'"),
+    ("r5-cubic seed=-3", 23, "seed must be an integer >= 0, got -3")],
+    ids=["delta=0", "n=0", "n=foo", "n=1.5", "delta=big", "seed=-3"])
+def test_main_rejected_gallery_value_is_a_diagnostic(tmp_path, capsys,
+                                                     params, col, message):
+    f = tmp_path / "g.cfl"
+    f.write_text(f"gallery {params}\n")
+    assert main([str(f)]) == 3
+    assert capsys.readouterr().err == f"confolkit: {f}:1:{col}: {message}\n"
+
+
 def test_main_env_seed_fallback(tmp_path, capsys, monkeypatch):
     f = tmp_path / "g.cfl"
     f.write_text("gallery mori-formal\n")

@@ -18,9 +18,7 @@ from confolkit.conetame import (
     cayley_interpolate,
     compatible_J,
     cotaming_search,
-    find_T_taming,
     kernel_with_tol,
-    mu_from_J,
     mu_orthogonal_complement,
     pencil_positive,
     pfaffian,
@@ -412,47 +410,6 @@ def test_cotaming_search_feasible_pair():
     assert status == PASS
     assert taming_check(omega0, J).status == PASS
     assert taming_check(omega1, J).status == PASS
-
-
-# ---------------------------------------------------------------------------
-# mu_from_J and T search
-# ---------------------------------------------------------------------------
-
-def test_mu_from_J_contact_case():
-    J = compatible_J(std_skew(2))
-    mu_g, C = mu_from_J(J, std_skew(2))
-    assert C <= 1.0
-    assert abs(pfaffian(mu_g)) > 1e-9
-
-
-def test_mu_from_J_order_one_field():
-    da = scipy.linalg.block_diag(J2, np.zeros((2, 2)))
-    J = scipy.linalg.block_diag(-J2, -J2)
-    mu_g, C = mu_from_J(J, da)
-    comb = mu_g + C * da
-    assert abs(pfaffian(comb)) > 1e-9
-    assert pencil_positive(SkewPair(comb, da), closed=True).status == PASS
-    # restriction of mu_g to the J-invariant kernel block is nondegenerate
-    K = np.eye(4)[:, 2:]
-    assert abs(pfaffian(K.T @ mu_g @ K)) > 1e-9
-
-
-def test_find_T_already_taming():
-    J = std_J(2)
-    T, v = find_T_taming(J, std_skew(2), std_skew(2))
-    assert v.status == PASS and T <= 1.0
-
-
-def test_find_T_epsilon_threshold():
-    eps = 0.03
-    omega_M = scipy.linalg.block_diag(-eps * J2, J2)
-    da = scipy.linalg.block_diag(J2, np.zeros((2, 2)))
-    J = std_J(2)
-    T, v = find_T_taming(J, omega_M, da)
-    assert v.status == PASS
-    assert eps <= T <= 2 * eps * (1 + 1e-9)
-    # monotonicity: larger T still passes
-    assert taming_check(omega_M + 4 * T * da, J).status == PASS
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,5 @@
-"""Verifier-level tests: order/stratification, cone verdicts, SHS, collars,
-the open-book collar model and the product blob."""
+"""Verifier-level tests: order/stratification, confoliation verdicts, SHS,
+flows, the open-book collar model and the product blob."""
 
 import dataclasses
 import functools
@@ -34,15 +34,10 @@ from confolkit.confolcheck import (
     Verdict,
     blob_pointwise_check,
     char_dist_at,
-    collar_extend,
-    cone_membership,
     confoliation_check,
     default_profiles,
-    deformation_collar,
-    filling_boundary_check,
     flow_invariance_test,
     hermite_segment,
-    normal_form_verify,
     open_book_confoliation,
     open_book_samples,
     open_book_shs_residual,
@@ -318,38 +313,30 @@ def test_kernel_band_names_its_tolerance():
         assert (K.status, K.message) == (UNDETERMINED, v.message)
 
 
-def test_cone_membership_recovers_coefficients():
-    h = cubic_field()
-    mu = mu_field({("x1", "y1"): 1})
-    c = ConfoliationData(h, mu)
-    # omega = 2 mu + 3 dalpha
-    om = mu_field({("x1", "y1"): 2 + 3 * 3 * x1**2, ("x2", "y2"): 3})
-    v = cone_membership(c, om, SAMPLES)
-    assert v.status == PASS
-    assert np.allclose(v.margins["f"], 2.0) and np.allclose(v.margins["g"], 3.0)
-    bad = mu_field({("x1", "y1"): 1 - 3 * x1**2, ("x2", "y2"): -1})
-    assert cone_membership(c, bad, SAMPLES).status == FAIL
-
-
-def test_cone_membership_positive_function_fields():
-    h = cubic_field()
-    c = ConfoliationData(h, mu_field({("x1", "y1"): 1}))
-    f, g = 1 + x1**2, 2 + y2**2
-    om = mu_field({("x1", "y1"): f + g * 3 * x1**2, ("x2", "y2"): g})
-    v = cone_membership(c, om, SAMPLES)
-    assert v.status == PASS
-    for p, fv, gv in zip(SAMPLES, v.margins["f"], v.margins["g"]):
-        pf = 1 + p[0] ** 2
-        pg = 2 + p[3] ** 2
-        assert abs(fv - pf) <= 1e-6 * pf and abs(gv - pg) <= 1e-6 * pg
-
-
-def test_cone_membership_rank_deficient_undetermined():
-    h = darboux_field()
-    c = ConfoliationData(h, mu_field({("x1", "y1"): 1, ("x2", "y2"): 1}))
-    om = mu_field({("x1", "y1"): 2, ("x2", "y2"): 2})
-    # mu is proportional to dalpha on xi: (f, g) not identifiable
-    assert cone_membership(c, om, SAMPLES).status == UNDETERMINED
+def test_blob_kernel_band_names_its_tolerance():
+    # a blob whose psi lands on the banded point: blob item 1 and both K_xi
+    # sites of transverse exactness name the band as confoliation_check does
+    c = next(c for c in map(_banded_pair, range(60))
+             if char_dist_at(c.h, SAMPLES[0], c.tau_rank).status != PASS)
+    K = char_dist_at(c.h, SAMPLES[0], c.tau_rank)
+    e = np.eye(5)
+    blob = BLobData(
+        N_chart=Chart(("r", "theta"), ((0.1, 1.0), (0.0, 2 * math.pi))),
+        psi=lambda p: SAMPLES[0], radial_index=0, theta_index=1,
+        KN_basis=lambda p: np.zeros((2, 1)), binding_normal_indices=(0,),
+        FU_basis=lambda pM: e[:, :1], gamma=c.h.alpha,
+        tangent_families={"fiber": lambda p: e[:, :2]})
+    samples_N = pts((0.5, 1.0))
+    v = transversely_exact_check(c, blob, c.mu, samples_N)
+    for got in (blob_pointwise_check(c, blob, samples_N).sub["item1"],
+                v.sub["complement_fiber"], v.sub["exactness"]):
+        assert (got.status, got.message) == (UNDETERMINED, K.message)
+        assert np.array_equal(got.witness, samples_N[0])
+        assert (got.margins["tolerance"], got.margins["tau"]) == \
+            ("tau_rank", 1e-7)
+        above, below = got.margins["margin"]
+        assert above > below
+        assert abs(above - 1e-7) < 1e-15 and abs(below - 1e-7) < 1e-15
 
 
 def test_status_invariant_under_conformal_rescaling():
@@ -358,29 +345,6 @@ def test_status_invariant_under_conformal_rescaling():
     u = sp.exp(0.3 * x2)
     c = ConfoliationData(h, mu_field({("x1", "y1"): u}))
     assert confoliation_check(c, SAMPLES).status == PASS
-
-
-def test_filling_modes():
-    h = darboux_field()
-    mu = mu_field({("x1", "y1"): 1, ("x2", "y2"): 1})
-    c = ConfoliationData(h, mu)
-    mu0 = mu_field({("x2", "y2"): 1})
-    prim = FormFieldNum.from_symbolic(R5, 1, {("z",): 0, ("y1",): x1})
-    Om = mu_field({("x1", "y1"): 1, ("x2", "y2"): 1})
-    v = filling_boundary_check(c, Om, "strong", SAMPLES, mu0=mu0,
-                               alpha_prim=prim)
-    assert v.status == PASS, v.message
-    bad_mu0 = mu_field({("x2", "y2"): 1 + x1})   # not closed
-    v = filling_boundary_check(c, Om + mu_field({("x2", "y2"): x1}),
-                               "strong", SAMPLES, mu0=bad_mu0,
-                               alpha_prim=prim)
-    assert v.status == FAIL
-    # weak: cubic confoliation against its own completed form
-    hc = cubic_field()
-    cc = ConfoliationData(hc, mu_field({("x1", "y1"): 1}))
-    Om2 = mu_field({("x1", "y1"): 1 + 3 * x1**2, ("x2", "y2"): 1})
-    assert filling_boundary_check(cc, Om2, "weak", SAMPLES).status == PASS
-    assert filling_boundary_check(cc, Om2, "quasi-strong", SAMPLES).status == PASS
 
 
 # ---------------------------------------------------------------------------
@@ -409,7 +373,7 @@ def test_shs_reeb_not_in_ker_dlam_fails():
 
 
 # ---------------------------------------------------------------------------
-# flows / normal forms / collars
+# flows
 # ---------------------------------------------------------------------------
 
 def test_flow_invariance_order_one_and_vacuous():
@@ -419,42 +383,6 @@ def test_flow_invariance_order_one_and_vacuous():
     hc = cubic_field()
     v = flow_invariance_test(hc, np.array([0.6, 0.2, 0.3, -0.1, 0.0]))
     assert v.status == PASS and "vacuous" in v.message
-
-
-def test_normal_form_verify_darboux_and_conformal():
-    h = darboux_field()
-    ident = lambda p: p
-    v = normal_form_verify(h, ident, 2, R5, SAMPLES)
-    assert v.status == PASS
-    tab = {"z": sp.exp(z), "y1": sp.exp(z) * x1, "y2": sp.exp(z) * x2}
-    hconf = HyperplaneField.from_symbolic(R5, tab)
-    assert normal_form_verify(hconf, ident, 2, R5, SAMPLES).status == PASS
-    assert normal_form_verify(h, ident, 1, R5, SAMPLES).status == FAIL
-
-
-def test_collar_extend_contact_boundary():
-    h = darboux_field()
-    Om = mu_field({("x1", "y1"): 1, ("x2", "y2"): 1})
-    _, v = collar_extend(h, Om, 1.0, SAMPLES)
-    assert v.status == PASS
-    degenerate = mu_field({("x2", "y2"): 1})
-    _, v = collar_extend(flat_field(), degenerate, 1.0, SAMPLES)
-    assert v.status == FAIL
-
-
-def test_deformation_collar_cases():
-    hc = cubic_field()
-    Om = mu_field({("x1", "y1"): 1, ("x2", "y2"): 1})
-    zero = FormFieldNum.from_symbolic(R5, 1, {("z",): 0})
-    _, v = deformation_collar(hc, Om, zero, 1.0, samples_M=SAMPLES)
-    assert v.status == PASS
-    # beta whose differential cancels Omega_M on K at s=1: rejected upfront
-    beta_bad = FormFieldNum.from_symbolic(R5, 1, {("y1",): -x1})
-    _, v = deformation_collar(hc, Om, beta_bad, 1.0, samples_M=SAMPLES)
-    assert v.status == FAIL and "precondition" in v.message
-    beta_ok = FormFieldNum.from_symbolic(R5, 1, {("y2",): sp.Rational(1, 10) * x2})
-    Omega, v = deformation_collar(hc, Om, beta_ok, 1.0, samples_M=SAMPLES)
-    assert v.status == PASS and Omega is not None
 
 
 # ---------------------------------------------------------------------------

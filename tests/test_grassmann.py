@@ -127,17 +127,6 @@ def test_d_squared_and_validate(mixed):
     f = sp.Function("f")(r)
     w = alg.scalar_form(f) ^ lam ^ eta
     assert w.d().d().is_zero() is True
-    assert alg.validate() is True
-
-
-def test_validate_rejects_bad_differential():
-    alg = FormAlgebra()
-    x, dx = alg.coordinate("x")
-    y, dy = alg.coordinate("y")
-    z, dz = alg.coordinate("z")
-    alg.generator("g", 1, d=y * (dx ^ dz))   # d(dg) = dy^dx^dz != 0
-    with pytest.raises(ValueError, match="d∘d"):
-        alg.validate()
 
 
 def test_even_generator_repeats_odd_squares_vanish(mixed):
@@ -198,8 +187,6 @@ def test_param_expansion_ordering(coord4):
     w = s**2 * (dx ^ dy) + dz * (3 + s)
     e = w.expand_in_param(s)
     assert e.powers() == [0, 1, 2]
-    p, low = e.lowest()
-    assert p == 0 and low.equals(3 * dz) is True
     # reconstruction
     back = alg.zero()
     for k in e.powers():
