@@ -969,6 +969,9 @@ def _run_gallery(doc, entry, flags):
         ge = _gallery.build(stmt.name, **params)
     except ValueError as exc:
         raise CflError(str(exc), *stmt.span) from None
+    except OverflowError:
+        raise CflError(f"gallery {stmt.name}: a parameter overflows the "
+                       "construction", *stmt.span) from None
     rows = ge.run_verdicts()
     got = {k: v.status for k, v in rows.items()}
     bad = {k: (ge.expected[k], got[k]) for k in ge.expected

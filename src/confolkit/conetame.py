@@ -41,6 +41,11 @@ def _skew(m):
     return 0.5 * (m - m.T)
 
 
+def _skew_rows(M):
+    """_skew of each M[i]."""
+    return 0.5 * (M - np.swapaxes(M, 1, 2))
+
+
 @dataclass
 class BasedSubspace:
     """Columns of ``basis`` span the subspace inside R^ambient_dim."""
@@ -209,29 +214,36 @@ def _subspace_angles(A, B):
 
 def pfaffian(m):
     """Pfaffian by Parlett-Reid reduction with permutation sign tracking."""
-    A = _skew(m).copy()
-    n = len(A)
+    return pfaffians(np.asarray(m, dtype=float)[None])[0]
+
+
+def pfaffians(M):
+    """Pfaffian of each M[i] of an (N, n, n) stack, by the Parlett-Reid steps
+    of a single matrix run on all rows at once (first-argmax pivot, row and
+    column swap, outer-product update); a zero pivot gives 0.0."""
+    A = _skew_rows(M)
+    N, n = A.shape[:2]
     if n % 2:
         raise ValueError("Pfaffian needs even dimension")
-    if n == 0:
-        return 1.0
-    pf = 1.0
-    for k in range(0, n - 1, 2):
-        # pivot the largest entry of column k below the diagonal into (k+1, k)
-        kp = k + 1 + int(np.argmax(np.abs(A[k + 1:, k])))
-        if kp != k + 1:
-            A[[k + 1, kp]] = A[[kp, k + 1]]
-            A[:, [k + 1, kp]] = A[:, [kp, k + 1]]
-            pf = -pf
-        piv = A[k, k + 1]
-        if piv == 0.0:
-            return 0.0
-        pf *= piv
-        if k + 2 < n:
-            tau = A[k, k + 2:] / piv
-            col = A[k + 2:, k + 1]
-            A[k + 2:, k + 2:] += np.outer(tau, col) - np.outer(col, tau)
-    return pf
+    rows = np.arange(N)
+    pf, zero = np.ones(N), np.zeros(N, dtype=bool)
+    with np.errstate(all="ignore"):
+        for k in range(0, n - 1, 2):
+            # the largest entry of column k below the diagonal to (k+1, k)
+            kp = k + 1 + np.argmax(np.abs(A[:, k + 1:, k]), axis=1)
+            A[rows, k + 1], A[rows, kp] = A[rows, kp], A[rows, k + 1]
+            A[rows, :, k + 1], A[rows, :, kp] = (A[rows, :, kp],
+                                                 A[rows, :, k + 1])
+            pf = np.where(kp != k + 1, -pf, pf)
+            piv = A[:, k, k + 1]
+            zero |= piv == 0.0
+            pf = pf * piv
+            if k + 2 < n:
+                tau = A[:, k, k + 2:] / piv[:, None]
+                col = A[:, k + 2:, k + 1]
+                A[:, k + 2:, k + 2:] += (tau[:, :, None] * col[:, None, :]
+                                         - col[:, :, None] * tau[:, None, :])
+    return np.where(zero, 0.0, pf)
 
 
 # ---------------------------------------------------------------------------
@@ -240,12 +252,37 @@ def pfaffian(m):
 
 def _pencil_poly(pair: SkewPair):
     """Pf(mu0 + t*mu1) as exact-degree coefficients via interpolation."""
-    n2 = len(pair.mu0)
-    deg = n2 // 2
-    nodes = np.arange(deg + 1, dtype=float)
-    vals = np.array([pfaffian(pair.mu0 + t * pair.mu1) for t in nodes])
-    V = np.vander(nodes, deg + 1, increasing=True)
-    return np.linalg.solve(V, vals)
+    return pencil_coeffs(pair.mu0[None], pair.mu1[None])[0]
+
+
+def pencil_coeffs(MU0, MU1):
+    """Ascending coefficients of Pf(MU0[i] + t*MU1[i]) for each pair of two
+    (N, n, n) stacks: Pfaffians at t = 0..n/2, one stacked interpolation."""
+    N, n = MU0.shape[:2]
+    nodes = np.arange(n // 2 + 1, dtype=float)
+    vals = pfaffians((MU0[:, None] + nodes[:, None, None] * MU1[:, None])
+                     .reshape(-1, n, n)).reshape(N, len(nodes))
+    V = np.vander(nodes, len(nodes), increasing=True)
+    return np.linalg.solve(V, vals[:, :, None])[:, :, 0]
+
+
+def pencil_certified(C):
+    """Rows of an (N, d) coefficient stack that pencil_positive PASSes on
+    the open ray (orientation +1), read from the signs of the floats.
+
+    _ray_roots keeps c when |c| > 1e-12 max|c| and rationalizes it within
+    1/(2 * 10**15), so a kept |c| >= 1e-15 keeps its sign.  With every
+    coefficient finite, every kept one positive and that large, and P(1) > 0
+    as pencil_positive computes it, Descartes' rule of signs leaves the
+    exact polynomial no positive root.  Other rows are not decided here.
+    """
+    absC = np.abs(C)
+    cmax = absC.max(axis=1)
+    kept = absC > _COEFF_TRUNC * cmax[:, None]
+    with np.errstate(invalid="ignore"):
+        p1 = np.polyval(C[:, ::-1].T, 1.0)
+    return (np.isfinite(C).all(axis=1) & (cmax > 0)
+            & ~(kept & ((absC < 1e-15) | (C < 0))).any(axis=1) & (p1 > 0))
 
 
 def _ray_roots(coeffs, closed):
@@ -534,6 +571,8 @@ def pencil_positive(pair: SkewPair, closed=False, orientation=+1):
     ray's interior are reported UNDETERMINED, never silently passed.
     """
     coeffs = _pencil_poly(pair)
+    if not np.isfinite(coeffs).all():
+        return PencilVerdict(FAIL, coeffs, message="Pfaffian is not finite")
     poly, on, near = _ray_roots(coeffs, closed)
     if poly is None:
         return PencilVerdict(FAIL, coeffs, message="Pfaffian identically zero")

@@ -43,9 +43,12 @@ from confolkit.conetame import (
     UNDETERMINED,
     BasedSubspace,
     SkewPair,
+    _skew_rows,
     kernel_with_tol,
     null_space,
     odd_rank_message,
+    pencil_certified,
+    pencil_coeffs,
     pencil_positive,
     pfaffian,
     sigmas_at_cut,
@@ -128,11 +131,6 @@ def _xi_frames(A):
     flip = np.linalg.det(np.concatenate([A[:, :, None], B], axis=2)) < 0
     B[flip, :, 0] = -B[flip, :, 0]
     return B
-
-
-def _skew_rows(M):
-    """conetame._skew of each M[i]."""
-    return 0.5 * (M - np.swapaxes(M, 1, 2))
 
 
 class HyperplaneField:
@@ -302,8 +300,10 @@ def confoliation_check(c: ConfoliationData, samples) -> Verdict:
     t > 0, and mu nondegenerate on K_xi, at every sample.
 
     alpha, dalpha and mu are evaluated once on all samples, and the frames
-    of xi and the kernels of dalpha on xi are stacked SVDs; the pencil's
-    exact Sturm decision and every verdict stay per sample, in order.
+    of xi, the kernels of dalpha on xi and the pencil coefficients are
+    stacked.  A pencil with conetame.pencil_certified's exact sign
+    certificate PASSes; the others take pencil_positive's exact Sturm path.
+    Samples with anything left to decide are visited in order.
     """
     m = c.h.chart.dim
     A, DA, MU = (f.eval_at(samples) for f in (c.h.alpha, c.h.dalpha, c.mu))
@@ -315,9 +315,14 @@ def confoliation_check(c: ConfoliationData, samples) -> Verdict:
     Bt = np.swapaxes(B, 1, 2)
     MU_xi, DA_xi = (Bt @ np.where(ok[:, None, None], T, 0.0) @ B
                     for T in (MU, DA))
-    _, sig, Vt = np.linalg.svd(_skew_rows(DA_xi))
+    S_mu, S_da = _skew_rows(MU_xi), _skew_rows(DA_xi)
+    _, sig, Vt = np.linalg.svd(S_da)
+    certified = pencil_certified(pencil_coeffs(S_mu, S_da))
+    # dalpha|xi of full rank m - 1 leaves K_xi = 0: nothing more to decide
+    full = sig[:, -1] > c.tau_rank * np.maximum(sig[:, 0], 1.0)
     worst = np.inf
-    for i, p in enumerate(samples):
+    for i in np.flatnonzero(~(ok & certified & full)):
+        p = samples[i]
         if not ok[i]:
             if not na[i] < np.inf:      # a nan or infinite coefficient
                 bad = "alpha"
@@ -328,16 +333,18 @@ def confoliation_check(c: ConfoliationData, samples) -> Verdict:
                 bad = _not_finite({"dalpha": DA[i], "mu": MU[i]})
             return Verdict(FAIL, witness=p,
                            message=f"{bad} is not finite at the witness")
-        pv = pencil_positive(SkewPair(MU_xi[i], DA_xi[i], ("mu", "dalpha")))
-        if pv.status == UNDETERMINED:
-            # a root of Pf(mu + t dalpha) within RAY_TOL of the open ray
-            return Verdict(UNDETERMINED,
-                           {"tolerance": "ray_tol", "tau": RAY_TOL,
-                            "margin": pv.roots_on_ray[0]},
-                           p, f"pencil: {pv.message}")
-        if pv.status != PASS:
-            return Verdict(pv.status, witness=p,
-                           message=f"pencil: {pv.message}")
+        if not certified[i]:
+            pv = pencil_positive(SkewPair(MU_xi[i], DA_xi[i],
+                                          ("mu", "dalpha")))
+            if pv.status == UNDETERMINED:
+                # a root of Pf(mu + t dalpha) within RAY_TOL of the open ray
+                return Verdict(UNDETERMINED,
+                               {"tolerance": "ray_tol", "tau": RAY_TOL,
+                                "margin": pv.roots_on_ray[0]},
+                               p, f"pencil: {pv.message}")
+            if pv.status != PASS:
+                return Verdict(pv.status, witness=p,
+                               message=f"pencil: {pv.message}")
         rank = skew_rank(sig[i], c.tau_rank)
         if rank % 2:
             return _rank_band(c.tau_rank, rank, sig[i], p)
@@ -345,7 +352,8 @@ def confoliation_check(c: ConfoliationData, samples) -> Verdict:
             K = B[i] @ Vt[i][rank:].T
             mu_K = K.T @ MU[i] @ K
             pf = pfaffian(mu_K)
-            scale = max(np.linalg.norm(mu_K), 1e-30) ** (K.shape[1] // 2)
+            with np.errstate(over="ignore"):
+                scale = max(np.linalg.norm(mu_K), 1e-30) ** (K.shape[1] // 2)
             if abs(pf) <= c.tau_pos * scale:
                 return Verdict(FAIL, witness=p,
                                message="mu degenerate on K_xi")

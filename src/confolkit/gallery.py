@@ -722,18 +722,28 @@ def _openbook_entry(name, n, delta, seed, note):
     def confoliation():
         return confoliation_check(c, samples)
 
+    def split_at(p):
+        xi = pair.h.xi_basis(p)
+        mu_xi = xi.restrict(pair.Omega.eval_at(p))
+        da_xi = xi.restrict(pair.h.dalpha.eval_at(p))
+        K = kernel_with_tol(da_xi)
+        if K.status != PASS:
+            return K.status, "kernel extraction"
+        _, status = split_cotamed_J(SkewPair(mu_xi, da_xi), K.subspace)
+        return status, "no split cotamed J"
+
     def cotamed():
         worst = None
         for p in samples:
-            xi = pair.h.xi_basis(p)
-            mu_xi = xi.restrict(pair.Omega.eval_at(p))
-            da_xi = xi.restrict(pair.h.dalpha.eval_at(p))
-            K = kernel_with_tol(da_xi)
-            if K.status != PASS:
-                return Verdict(K.status, {}, p, "kernel extraction")
-            _, status = split_cotamed_J(SkewPair(mu_xi, da_xi), K.subspace)
+            # the verdict, not numpy's warnings, reports an overflow or a nan
+            try:
+                with np.errstate(all="ignore"):
+                    status, why = split_at(p)
+            except (np.linalg.LinAlgError, ValueError) as exc:
+                return Verdict(FAIL, {}, p,
+                               f"split cotamed J breaks down: {exc}")
             if status != PASS:
-                return Verdict(status, {}, p, "no split cotamed J")
+                return Verdict(status, {}, p, why)
             worst = status
         return Verdict(worst or FAIL, {"samples": len(samples)}, None,
                        "split cotamed J at every sample")
@@ -846,6 +856,10 @@ def _build_ob_deformation(delta=1.0, seed=0):
 
     def factors_check():
         rep = report()
+        for lab in ("g0-zero", "f0-zero"):
+            if lab not in rep.strata:
+                return Verdict(FAIL, message=f"stratum {lab}: no symbolic "
+                               "limit in item (b)")
         g0z = rep.strata["g0-zero"]
         f0z = rep.strata["f0-zero"]
         rs = pf.strata["g0-zero"].samples[:, 1]

@@ -813,6 +813,17 @@ def test_every_sample_budget_reaches_the_far_edge(samples):
     assert rep.entries[0]["detail"]["verdict"]["witness"][0] > 0.6
 
 
+@pytest.mark.parametrize("name", ["cubic_family.cfl", "flat_family.cfl",
+                                  "solid_torus.cfl"])
+def test_demo_verdicts_hold_at_every_sample_budget(name):
+    text = (Path(__file__).resolve().parents[1] / "demos" / name).read_text()
+    seen = set()
+    for samples in (24, 100, 384, 1000):
+        rep = run(parse(text), default_flags(samples=samples))
+        seen.add((rep.exit_code, tuple(e["status"] for e in rep.entries)))
+    assert len(seen) == 1
+
+
 def test_sample_budget_respects_flags():
     doc = parse(TUBE_DOC)
     pts = cli._chart_samples(doc.chart, default_flags(samples=10, fd_step=1e-3))
@@ -899,6 +910,70 @@ def test_main_rejected_gallery_value_is_a_diagnostic(tmp_path, capsys,
     f.write_text(f"gallery {params}\n")
     assert main([str(f)]) == 3
     assert capsys.readouterr().err == f"confolkit: {f}:1:{col}: {message}\n"
+
+
+def test_overflowing_pencil_is_not_identically_zero(tmp_path, capsys):
+    f = tmp_path / "big.cfl"
+    f.write_text("chart x1 y1 x2 y2 z\n"
+                 "form alpha = dz + x1 * dy1 + x2 * dy2\n"
+                 "form W = 1e200 * dx1 ^ dy1 + 1e200 * dx2 ^ dy2\n"
+                 "check confoliation alpha W\n")
+    assert main([str(f), "--format", "json"]) == 1
+    entry = json.loads(capsys.readouterr().out)["checks"][0]
+    assert entry["status"] == FAIL
+    assert entry["message"] == "pencil: Pfaffian is not finite"
+
+
+def _run_cli(path, *args):
+    src = str(Path(cli.__file__).resolve().parents[1])
+    # PYTHONWARNINGS=default shows every RuntimeWarning once per location
+    env = dict(os.environ, PYTHONWARNINGS="default",
+               PYTHONPATH=os.pathsep.join(
+                   filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-m", "confolkit.cli", str(path),
+                           *args], capture_output=True, text=True, env=env,
+                          timeout=300)
+
+
+@pytest.mark.parametrize("params, cause", [
+    ("openbook-solid-torus delta=1e-300", "two-form is numerically degenerate"),
+    ("openbook-s3-binding delta=1e-300", "two-form is numerically degenerate"),
+    ("openbook-solid-torus delta=1e300", "SVD did not converge")],
+    ids=["ob1-tiny", "ob2-tiny", "ob1-huge"])
+def test_degenerate_open_book_construction_is_a_fail_row(tmp_path, params,
+                                                         cause):
+    f = tmp_path / "ob.cfl"
+    f.write_text(f"gallery {params}\n")
+    r = _run_cli(f, "--format", "json")
+    assert (r.returncode, r.stderr) == (1, "")
+    row = json.loads(r.stdout)["checks"][0]["detail"]["verdict"]["sub"][
+        "cotamed-J"]
+    assert row["status"] == FAIL
+    assert row["message"] == f"split cotamed J breaks down: {cause}"
+    assert row["witness"] is not None
+
+
+def test_deformation_without_its_strata_fails_the_factor_rows(tmp_path):
+    f = tmp_path / "ob.cfl"
+    f.write_text("gallery openbook-deformation delta=1e-300\n")
+    r = _run_cli(f, "--format", "json")
+    assert (r.returncode, r.stderr) == (1, "")
+    rows = json.loads(r.stdout)["checks"][0]["detail"]["verdict"]["sub"]
+    assert rows["factors"]["status"] == FAIL
+    assert rows["factors"]["message"] == \
+        "stratum g0-zero: no symbolic limit in item (b)"
+    assert rows["exponents"]["status"] == FAIL
+    assert rows["exponents"]["sub"]["g0-zero"]["message"] == \
+        "stratum g0-zero: no symbolic limit in item (b)"
+
+
+def test_overflowing_gallery_parameter_is_a_diagnostic(tmp_path, capsys):
+    f = tmp_path / "ob.cfl"
+    f.write_text("gallery openbook-deformation delta=1e300\n")
+    assert main([str(f)]) == 3
+    assert capsys.readouterr().err == (
+        f"confolkit: {f}:1:1: gallery openbook-deformation: a parameter "
+        "overflows the construction\n")
 
 
 def test_main_env_seed_fallback(tmp_path, capsys, monkeypatch):

@@ -1,6 +1,7 @@
 """Skew linear algebra: kernels, Pfaffians, pencils, taming, Cayley."""
 
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -20,8 +21,11 @@ from confolkit.conetame import (
     cotaming_search,
     kernel_with_tol,
     mu_orthogonal_complement,
+    pencil_certified,
+    pencil_coeffs,
     pencil_positive,
     pfaffian,
+    pfaffians,
     split_cotamed_J,
     taming_check,
     taming_symmetrization,
@@ -248,6 +252,135 @@ def test_pencil_matches_sympy_real_roots(case, closed, monkeypatch):
         assert len(got.roots_on_ray) == len(ref.roots_on_ray)
         for r, r_ref in zip(got.roots_on_ray, ref.roots_on_ray):
             assert r == pytest.approx(r_ref, rel=1e-12)
+
+
+def test_overflowing_pencil_is_not_identically_zero():
+    # Pf(1e200 J4 + t J4) overflows at every node: the interpolated
+    # coefficients are not finite, which says nothing about a zero Pfaffian
+    v = pencil_positive(SkewPair(1e200 * std_skew(2), std_skew(2)))
+    assert (v.status, v.message) == (FAIL, "Pfaffian is not finite")
+    assert not pencil_certified(v.coeffs[None])[0]
+
+
+# ---------------------------------------------------------------------------
+# stacked Pfaffians, pencil coefficients and the sign certificate
+# ---------------------------------------------------------------------------
+
+def _skew_rows(M):
+    return 0.5 * (M - np.swapaxes(M, -1, -2))
+
+
+def _pfaffian_reference(m):
+    """The single-matrix Parlett-Reid reduction, step for step."""
+    A = 0.5 * (m - m.T)
+    n = len(A)
+    pf = 1.0
+    for k in range(0, n - 1, 2):
+        kp = k + 1 + int(np.argmax(np.abs(A[k + 1:, k])))
+        if kp != k + 1:
+            A[[k + 1, kp]] = A[[kp, k + 1]]
+            A[:, [k + 1, kp]] = A[:, [kp, k + 1]]
+            pf = -pf
+        piv = A[k, k + 1]
+        if piv == 0.0:
+            return 0.0
+        pf *= piv
+        if k + 2 < n:
+            tau = A[k, k + 2:] / piv
+            col = A[k + 2:, k + 1]
+            A[k + 2:, k + 2:] += np.outer(tau, col) - np.outer(col, tau)
+    return pf
+
+
+@st.composite
+def _pair_stacks(draw):
+    """Two (N, n, n) stacks for n in 2, 4, 6: small integers (tied pivot
+    magnitudes, zero pivots) or gaussians, with zeroed rows and columns
+    and non-finite entries mixed in."""
+    n = draw(st.sampled_from([2, 4, 6]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = (2, draw(st.integers(1, 8)), n, n)
+    if draw(st.booleans()):
+        M = rng.choice([0.0, 1.0, -1.0, 2.0, -2.0], size=shape)
+    else:
+        M = rng.standard_normal(shape)
+    for _ in range(draw(st.integers(0, 3))):
+        k, i, j = rng.integers(2), rng.integers(shape[1]), rng.integers(n)
+        M[k, i, j, :] = M[k, i, :, j] = 0.0
+    for _ in range(draw(st.integers(0, 2))):
+        k, i = rng.integers(2), rng.integers(shape[1])
+        a, b = rng.integers(n, size=2)
+        M[k, i, a, b] = rng.choice([np.nan, np.inf, -np.inf])
+    return M
+
+
+@settings(max_examples=100, deadline=None)
+@given(_pair_stacks())
+def test_stacked_pencil_matches_single_pairs_bitwise(M):
+    n = M.shape[-1]
+    nodes = np.arange(n // 2 + 1, dtype=float)
+    V = np.vander(nodes, len(nodes), increasing=True)
+    with np.errstate(all="ignore"):
+        pfs = pfaffians(M[0])
+        coeffs = pencil_coeffs(_skew_rows(M[0]), _skew_rows(M[1]))
+        for i in range(M.shape[1]):
+            assert np.array_equal(pfs[i], _pfaffian_reference(M[0, i]),
+                                  equal_nan=True)
+            pair = SkewPair(M[0, i], M[1, i])
+            assert np.array_equal(coeffs[i], conetame._pencil_poly(pair),
+                                  equal_nan=True)
+            vals = [_pfaffian_reference(pair.mu0 + t * pair.mu1)
+                    for t in nodes]
+            assert np.array_equal(coeffs[i], np.linalg.solve(V, vals),
+                                  equal_nan=True)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([2, 4, 6]))
+def test_certified_pencils_pass_exactly(seed, n):
+    # scales from 1e-6 to 1e2 put some coefficients under the 1e-15 floor
+    rng = np.random.default_rng(seed)
+    M = rng.standard_normal((2, 8, n, n))
+    M *= 10.0 ** rng.uniform(-6, 2, size=(2, 8, 1, 1))
+    M[1, ::2] += std_skew(n // 2)
+    S0, S1 = _skew_rows(M[0]), _skew_rows(M[1])
+    for i in np.flatnonzero(pencil_certified(pencil_coeffs(S0, S1))):
+        pair = SkewPair(S0[i], S1[i])
+        assert pencil_positive(pair).status == PASS
+        with mock.patch.object(conetame, "_ray_roots", _sympy_ray_roots):
+            assert pencil_positive(pair).status == PASS
+
+
+def test_sign_changing_pencil_takes_the_sturm_path():
+    # Pf(mu + t J4) = 1 - t + t^2 has no real root, but its coefficients
+    # change sign, so the certificate leaves it to the Sturm decision
+    mu = np.zeros((4, 4))
+    mu[0, 1], mu[0, 2], mu[1, 3] = -1.0, 1.0, -1.0
+    pair = SkewPair(mu - mu.T, std_skew(2))
+    coeffs = pencil_coeffs(pair.mu0[None], pair.mu1[None])
+    np.testing.assert_allclose(coeffs[0], [1.0, -1.0, 1.0], atol=1e-12)
+    assert not pencil_certified(coeffs)[0]
+    assert pencil_positive(pair).status == PASS
+    with mock.patch.object(conetame, "_ray_roots", _sympy_ray_roots):
+        assert pencil_positive(pair).status == PASS
+
+
+@pytest.mark.parametrize("coeffs, certified", [
+    ([0.0, 1.0, 1.0], True),            # exact zeros are dropped, not kept
+    ([1e-20, 1.0, 1.0], True),          # truncated below 1e-12 * max
+    ([1e-16, 1e-5], False),             # kept, under the 1e-15 floor
+    ([1e-16, 2e-16], False),            # rationalizes to the zero polynomial
+    ([1.0, -1.0, 1.0], False),          # a sign change
+    ([-1.0, -2.0, -1.0], False),        # P(1) < 0
+    ([0.0, 0.0, 0.0], False),           # identically zero
+    ([np.nan, 1.0, 1.0], False),
+    ([np.inf, 1.0, 1.0], False)])
+def test_sign_certificate_cases(coeffs, certified):
+    assert pencil_certified(np.array([coeffs]))[0] == certified
+    if certified:
+        with mock.patch.object(conetame, "_pencil_poly",
+                               lambda pair: np.array(coeffs)):
+            assert pencil_positive(SkewPair(J2, J2)).status == PASS
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ import sympy as sp
 
 from fractions import Fraction
 
-from confolkit import gallery
+from confolkit import confolcheck, gallery
 from confolkit.chartfield import Chart, FormFieldNum, d_fd
 from confolkit.conetame import (
     FAIL,
@@ -267,6 +267,72 @@ def test_pencil_band_names_its_tolerance():
     assert set(v.margins) == {"tolerance", "tau", "margin"}
     assert (v.margins["tolerance"], v.margins["tau"]) == ("ray_tol", 1e-8)
     assert v.margins["margin"] == pytest.approx(5e-9, rel=1e-6)
+
+
+# mu on ker dz of R5 by sample kind, told apart by x1 (dalpha = dx1^dy1 +
+# dx2^dy2 throughout):
+#   x1 < 0:        Pf(mu + t dalpha) = 1 - t + t^2, a PASS that changes sign
+#                  and so takes the Sturm path
+#   0 < x1 < 0.5:  (t - 1)(t + 1), which degenerates at t = 1
+#   x1 > 0.5:      (t - 5e-9)(t + 1), a root within RAY_TOL of the open ray
+def _by_kind(sturm_pass, fail, band):
+    return lambda p: np.where(p[0] < 0, sturm_pass,
+                              np.where(p[0] < 0.5, fail, band))
+
+
+def _kinds_field():
+    h = HyperplaneField(R5, FormFieldNum(R5, 1, {(4,): lambda p: 1.0}),
+                        FormFieldNum(R5, 2, {(0, 1): lambda p: 1.0,
+                                             (2, 3): lambda p: 1.0}))
+    mu = FormFieldNum(R5, 2, {(0, 1): _by_kind(-1.0, 1.0, -5e-9),
+                              (2, 3): _by_kind(0.0, -1.0, 1.0),
+                              (0, 2): _by_kind(1.0, 0.0, 0.0),
+                              (1, 3): _by_kind(-1.0, 0.0, 0.0)})
+    return ConfoliationData(h, mu)
+
+
+STURM_PASS = pts((-0.5, 0.1, 0.2, 0.3, 0.0), (-0.2, -0.4, 0.1, 0.0, 0.5))
+PENCIL_FAIL = pts((0.3, 0.2, -0.1, 0.4, 0.1))
+PENCIL_BAND = pts((0.7, -0.3, 0.2, 0.1, -0.2))
+
+
+def _counting_pencil(monkeypatch):
+    """Record each pair that confoliation_check hands to the Sturm path."""
+    calls, sturm = [], confolcheck.pencil_positive
+
+    def counted(pair, *args, **kw):
+        calls.append(pair)
+        return sturm(pair, *args, **kw)
+    monkeypatch.setattr(confolcheck, "pencil_positive", counted)
+    return calls
+
+
+def test_uncertified_pencils_pass_through_the_sturm_path(monkeypatch):
+    calls = _counting_pencil(monkeypatch)
+    v = confoliation_check(_kinds_field(), STURM_PASS)
+    assert v.status == PASS
+    assert len(calls) == len(STURM_PASS)
+
+
+@pytest.mark.parametrize("bad, status, message", [
+    (PENCIL_FAIL, FAIL, "pencil: pencil degenerates at t=1"),
+    (PENCIL_BAND, UNDETERMINED, "pencil: root within 1e-08 of the ray")],
+    ids=["fail", "band"])
+def test_witness_follows_uncertified_passes(monkeypatch, bad, status,
+                                            message):
+    # the Sturm-path PASSes come first; the first failing sample is the
+    # witness, ahead of a later failure of the other kind
+    calls = _counting_pencil(monkeypatch)
+    other = PENCIL_BAND if bad is PENCIL_FAIL else PENCIL_FAIL
+    samples = np.concatenate([STURM_PASS, bad, STURM_PASS, other])
+    v = confoliation_check(_kinds_field(), samples)
+    assert v.status == status
+    assert v.message.startswith(message)
+    np.testing.assert_array_equal(v.witness, bad[0])
+    assert len(calls) == len(STURM_PASS) + 1
+    if status == UNDETERMINED:
+        assert (v.margins["tolerance"], v.margins["tau"]) == ("ray_tol", 1e-8)
+        assert v.margins["margin"] == pytest.approx(5e-9, rel=1e-6)
 
 
 def _banded_pair(seed):
