@@ -4,11 +4,12 @@ A coefficient table maps strictly sorted coordinate-index tuples to sympy
 expressions in the chart coordinates (and a family's parameter).
 ``_canon_table`` is the one place that reads other key spellings (name
 tuples, a bare name for a one-form).  The exact algebra on tables stays
-symbolic; ``compile_table`` lambdifies a table once, with any parameters as
-trailing arguments, into numeric fields whose coefficients are callables on
-the coordinate array.  The rest is pointwise plumbing for the verifiers:
-central-difference d (the lane that cross-checks the exact ``table_d``),
-finite-difference pullbacks, short-time RK4 flows and seeded sample grids.
+symbolic; ``compile_table`` compiles a table once (the source lambdify would
+generate, without lambdify), with any parameters as trailing arguments, into
+numeric fields whose coefficients are callables on the coordinate array.
+The rest is pointwise plumbing for the verifiers: central-difference d (the
+lane that cross-checks the exact ``table_d``), finite-difference pullbacks,
+short-time RK4 flows and seeded sample grids.
 A sample set is an ``(N, dim)`` float array, one point per row;
 ``sample_prefix`` orders a grid so that every prefix covers the box.
 
@@ -28,9 +29,12 @@ warnings off: a nan or infinite value is the verifier's to report.
 
 from __future__ import annotations
 
+import builtins
 import functools
 import itertools
+import keyword
 import math
+import types
 from dataclasses import dataclass
 
 import numpy as np
@@ -340,19 +344,67 @@ class _Printer(NumPyPrinter):
         return f"_pow({self._print(expr.base)}, {self._print(expr.exp)})"
 
 
-def compile_table(chart, table, degree=None, params=()):
-    """Lambdify each coefficient once over the chart coordinates followed by
-    the symbols ``params``.
+@functools.cache
+def _namespace():
+    """The globals ``sp.lambdify(..., [{"_pow": _pow}, "numpy"])`` gives its
+    generated code, built once per process."""
+    ns = {}
+    exec("import numpy; from numpy import *; from numpy.linalg import *", ns)
+    ns.update(I=1j, Heaviside=np.heaviside, _pow=_pow, builtins=builtins,
+              range=range)
+    return ns
 
-    Returns ``bind``: parameter values -> FormFieldNum.  Binding compiles
-    nothing, so one compile serves every value of a family's parameter.
+
+def _source(syms, e):
+    """The text ``sp.lambdify(syms, e, [{"_pow": _pow}, "numpy"],
+    printer=_Printer)`` generates for one entry.
+
+    An argument whose name is no Python identifier (a keyword such as
+    ``lambda``), or would hide ``numpy`` or ``_pow`` from the body, is
+    renamed ``_arg<i>`` (underscores prepended until the name is free);
+    lambdify renames the first kind to a Dummy and lets the second hide the
+    module.  A free symbol of ``e`` outside ``syms`` is a ValueError, where
+    lambdify would bind the sympy Symbol.
+    """
+    stray = e.free_symbols - set(syms)
+    if stray:
+        raise ValueError("table entry has free symbols outside the "
+                         f"coordinates and parameters: "
+                         f"{', '.join(sorted(map(str, stray)))}")
+    names = [str(s) for s in syms]
+    rename = {}
+    for i, s in enumerate(syms):
+        if (not names[i].isidentifier() or keyword.iskeyword(names[i])
+                or names[i] in ("numpy", "_pow")):
+            new = f"_arg{i}"
+            while new in names:
+                new = "_" + new
+            names[i] = new
+            rename[s] = sp.Symbol(new)
+    body = _Printer().doprint(e.xreplace(rename) if rename else e)
+    if "\n" in body:
+        body = f"({body})"
+    return f"def _lambdifygenerated({', '.join(names)}):\n    return {body}\n"
+
+
+def compile_table(chart, table, degree=None, params=()):
+    """Compile each coefficient over the chart coordinates followed by the
+    symbols ``params``.
+
+    Each entry becomes the function lambdify would generate (``_source``);
+    a table's entries are compiled in one ``compile()`` and run in one
+    namespace built once per process.  Returns ``bind``: parameter values
+    -> FormFieldNum.  Binding compiles nothing, so one compile serves every
+    value of a family's parameter.
     """
     table = _canon_table(chart, table)
     deg = len(next(iter(table), ())) if degree is None else degree
     syms = (*chart.symbols(), *params)
-    fns = {key: sp.lambdify(syms, e, [{"_pow": _pow}, "numpy"],
-                            printer=_Printer)
-           for key, e in table.items()}
+    code = compile("".join(_source(syms, e) for e in table.values()),
+                   "<compile_table>", "exec")
+    ns = _namespace()
+    fns = dict(zip(table, (types.FunctionType(c, ns) for c in code.co_consts
+                           if isinstance(c, types.CodeType))))
 
     def bind(*values):
         return FormFieldNum(chart, deg, {

@@ -353,7 +353,12 @@ def confoliation_check(c: ConfoliationData, samples) -> Verdict:
             mu_K = K.T @ MU[i] @ K
             pf = pfaffian(mu_K)
             with np.errstate(over="ignore"):
-                scale = max(np.linalg.norm(mu_K), 1e-30) ** (K.shape[1] // 2)
+                norm = np.linalg.norm(mu_K)
+                if norm == np.inf and np.isfinite(mu_K).all():
+                    # the sum of squares overflowed, not the entries
+                    big = np.abs(mu_K).max()
+                    norm = big * np.linalg.norm(mu_K / big)
+                scale = max(norm, 1e-30) ** (K.shape[1] // 2)
             if abs(pf) <= c.tau_pos * scale:
                 return Verdict(FAIL, witness=p,
                                message="mu degenerate on K_xi")
@@ -530,7 +535,48 @@ class Profile:
     @functools.cached_property
     def exact(self):
         return (tuple(map(_q, self.breaks)),
-                tuple(_piece_poly(p) for p in self.pieces))
+                tuple(_qcompose(p, -lo / w, 1 / w) for lo, w, p in self.local))
+
+    @functools.cached_property
+    def local(self):
+        """Per piece ``(lo, w, p)`` over Q with the piece equal to
+        p((r - lo) / w): a Hermite piece in its own variable on [x0, x1], a
+        polynomial piece in r itself (lo = 0, w = 1)."""
+        return tuple(map(_piece_local, self.pieces))
+
+    def numeric(self, k=0):
+        """The k-th derivative of the profile as a numeric callable of r (a
+        float or an array), exactly 0.0 on the constant pieces.
+
+        The piece is chosen by ``expr``'s ``r <= break`` rule; its value is
+        p^(k)(t) / w^k by Horner's rule in t = (r - lo) / w, with float
+        coefficients rounded once from Q, so extreme breakpoints neither
+        underflow nor overflow the coefficients.  Every operation acts
+        entry by entry, so a point gives the same float alone and in a batch.
+        """
+        breaks = [float(b) for b in self.exact[0]]
+        pieces = []
+        for lo, w, p in self.local:
+            for _ in range(k):
+                p = _qderiv(p)
+            pieces.append((float(lo), float(w), [float(c) for c in p]))
+
+        def fn(r):
+            r = np.asarray(r, dtype=float)
+            at = np.searchsorted(breaks, r)
+            out = np.zeros(r.shape)
+            for j, (lo, w, cs) in enumerate(pieces):
+                if not cs:
+                    continue
+                t = (r - lo) / w
+                v = cs[-1]
+                for c in reversed(cs[:-1]):
+                    v = v * t + c
+                for _ in range(k):
+                    v = v / w
+                out = np.where(at == j, v, out)
+            return out
+        return fn
 
     def piece_at(self, r):
         """The exact polynomial that holds at r."""
@@ -600,14 +646,13 @@ def _qeval(p, x):
     return out
 
 
-def _piece_poly(piece):
+def _piece_local(piece):
     if not isinstance(piece, Hermite):
-        return _qtrim(map(_q, piece))
+        return Fraction(0), Fraction(1), _qtrim(map(_q, piece))
     x0, x1, y0, m0, y1, m1 = map(_q, piece)
     w = x1 - x0
-    in_t = [y0, m0 * w, -3 * y0 - 2 * m0 * w + 3 * y1 - m1 * w,
-            2 * y0 + m0 * w - 2 * y1 + m1 * w]
-    return _qcompose(_qtrim(in_t), -x0 / w, 1 / w)
+    return x0, w, _qtrim([y0, m0 * w, -3 * y0 - 2 * m0 * w + 3 * y1 - m1 * w,
+                          2 * y0 + m0 * w - 2 * y1 + m1 * w])
 
 
 @dataclass(frozen=True)
@@ -720,7 +765,6 @@ class OpenBookPair:
     profile_verdict: Verdict
     n: int
     r_index: int
-    base_tables: dict
 
 
 def open_book_confoliation(n, profiles: OpenBookProfiles = None,
@@ -731,6 +775,8 @@ def open_book_confoliation(n, profiles: OpenBookProfiles = None,
     three-sphere chart for n = 2; the collar coordinates (r, theta) are the
     last two.  alpha = f*alpha_B + g*dtheta and
     Omega = Omega_B + h dr^dtheta - l' dr^alpha_B - l dalpha_B.
+    alpha and Omega are compiled from their sympy tables; dalpha is written
+    out here with the profiles' exact pieces (``Profile.numeric``).
     """
     pr = profiles if profiles is not None else default_profiles(delta)
     audit = profile_constraints(pr)
@@ -738,6 +784,7 @@ def open_book_confoliation(n, profiles: OpenBookProfiles = None,
         raise ValueError(f"profile constraint violated: {audit.message}")
     f, g, hh, ll = pr.f.expr, pr.g.expr, pr.h.expr, pr.l.expr
     lp = sp.diff(ll, _r)
+    f0, fp, gp = pr.f.numeric(), pr.f.numeric(1), pr.g.numeric(1)
     two_pi = 2 * math.pi
     if n == 1:
         chart = Chart(("b", "r", "theta"),
@@ -746,6 +793,8 @@ def open_book_confoliation(n, profiles: OpenBookProfiles = None,
         alpha_tab = {"b": f, "theta": g}
         # base block is one-dimensional: Omega_B = 0 and dalpha_B = 0
         omega_tab = {("r", "theta"): hh, ("b", "r"): lp}
+        # d(f db + g dtheta) = -f' db^dr + g' dr^dtheta
+        dalpha = {(0, 1): lambda p: -fp(p[1]), (1, 2): lambda p: gp(p[1])}
     elif n == 2:
         chart = Chart(("eta", "phi1", "phi2", "r", "theta"),
                       ((0.25, 1.3), (0.0, two_pi), (0.0, two_pi),
@@ -765,14 +814,23 @@ def open_book_confoliation(n, profiles: OpenBookProfiles = None,
             ("phi1", "r"): lp * ss,
             ("phi2", "r"): lp * cc,
         }
+        # squares as products: numpy's power may round differently on an
+        # array than on a scalar
+        dalpha = {
+            (0, 1): lambda p: 2 * f0(p[3]) * np.sin(p[0]) * np.cos(p[0]),
+            (0, 2): lambda p: -2 * f0(p[3]) * np.sin(p[0]) * np.cos(p[0]),
+            (1, 3): lambda p: -fp(p[3]) * (np.sin(p[0]) * np.sin(p[0])),
+            (2, 3): lambda p: -fp(p[3]) * (np.cos(p[0]) * np.cos(p[0])),
+            (3, 4): lambda p: gp(p[3]),
+        }
     else:
         raise ValueError("open-book collar models are built for n = 1 or 2")
-    h_field = HyperplaneField.from_symbolic(
-        chart, {k: v for k, v in alpha_tab.items()})
+    tab = _canon_table(chart, alpha_tab)
+    h_field = HyperplaneField(chart, FormFieldNum.from_symbolic(chart, 1, tab),
+                              FormFieldNum(chart, 2, dalpha),
+                              symbolic_table=tab)
     Omega = FormFieldNum.from_symbolic(chart, 2, omega_tab)
-    return OpenBookPair(chart, h_field, Omega, pr, audit,
-                        n, chart.index("r"), {"alpha": alpha_tab,
-                                              "omega": omega_tab})
+    return OpenBookPair(chart, h_field, Omega, pr, audit, n, chart.index("r"))
 
 
 def open_book_samples(pair: OpenBookPair, count=40, seed=0, r_min=None):

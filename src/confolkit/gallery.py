@@ -21,7 +21,8 @@ from .chartfield import (Chart, FormFieldNum, d_fd, sample_prefix,
 from .conetame import FAIL, PASS, SkewPair, kernel_with_tol, split_cotamed_J
 from .confolcheck import (
     SKIPPED, ConfoliationData, Hermite, HyperplaneField, OpenBookProfiles,
-    Profile, StableHamiltonianPair, Verdict, aggregate, BLobData,
+    Profile, StableHamiltonianPair, Verdict, _norms, _xi_frames, aggregate,
+    BLobData,
     blob_pointwise_check, confoliation_check, default_profiles,
     hermite_segment,
     open_book_confoliation, open_book_samples, open_book_shs_residual,
@@ -722,10 +723,8 @@ def _openbook_entry(name, n, delta, seed, note):
     def confoliation():
         return confoliation_check(c, samples)
 
-    def split_at(p):
-        xi = pair.h.xi_basis(p)
-        mu_xi = xi.restrict(pair.Omega.eval_at(p))
-        da_xi = xi.restrict(pair.h.dalpha.eval_at(p))
+    def split_at(xi, mu, da):
+        mu_xi, da_xi = xi.T @ mu @ xi, xi.T @ da @ xi
         K = kernel_with_tol(da_xi)
         if K.status != PASS:
             return K.status, "kernel extraction"
@@ -733,12 +732,22 @@ def _openbook_entry(name, n, delta, seed, note):
         return status, "no split cotamed J"
 
     def cotamed():
+        # the forms on all samples at once, the xi frames from one stacked
+        # SVD; the verdict, not numpy's warnings, reports an overflow or a nan
+        with np.errstate(all="ignore"):
+            A, MU, DA = (f.eval_at(samples)
+                         for f in (pair.h.alpha, pair.Omega, pair.h.dalpha))
+            na = _norms(A)
+            ok = (na < np.inf) & (na >= 1e-12)
+            B = _xi_frames(np.where(ok[:, None], A, np.eye(A.shape[1])[0]))
         worst = None
-        for p in samples:
-            # the verdict, not numpy's warnings, reports an overflow or a nan
+        for i, p in enumerate(samples):
             try:
                 with np.errstate(all="ignore"):
-                    status, why = split_at(p)
+                    # where ker(alpha) is no hyperplane, xi_basis raises
+                    # alpha_at's ValueError
+                    xi = B[i] if ok[i] else pair.h.xi_basis(p).basis
+                    status, why = split_at(xi, MU[i], DA[i])
             except (np.linalg.LinAlgError, ValueError) as exc:
                 return Verdict(FAIL, {}, p,
                                f"split cotamed J breaks down: {exc}")

@@ -1,12 +1,15 @@
 """Pointwise field plumbing: evaluation, FD derivative, pullbacks, grids."""
 
+import inspect
 import itertools
+from pathlib import Path
 
 import numpy as np
 import pytest
 import sympy as sp
 from hypothesis import given, settings, strategies as st
 
+from confolkit import chartfield, cli, gallery
 from confolkit.chartfield import (
     Chart,
     FormFieldNum,
@@ -323,3 +326,40 @@ def test_every_sample_prefix_covers_the_box(dim, density, seed, periodic):
             assert len(set(slab[:n, i])) == density
         span = P[:n].max(axis=0) - P[:n].min(axis=0)
         assert np.all(span >= (density - 1.6) / density * width - 1e-12)
+
+
+def test_compiled_source_is_lambdify_source(monkeypatch):
+    # every table compiled while the gallery and the demos run: each entry's
+    # source is the text lambdify generates for it, so the compiled code is
+    # the same by construction
+    seen = []
+    source = chartfield._source
+
+    def record(syms, e):
+        text = source(syms, e)
+        seen.append((syms, e, text))
+        return text
+
+    monkeypatch.setattr(chartfield, "_source", record)
+    for name in gallery.names():
+        gallery.build(name).run_verdicts()
+    demos = Path(__file__).resolve().parents[1] / "demos"
+    for doc in ("cubic_family", "flat_family", "solid_torus"):
+        cli.run(cli.parse((demos / f"{doc}.cfl").read_text()))
+    assert len(seen) > 100
+    for syms, e, text in seen:
+        fn = sp.lambdify(syms, e, [{"_pow": chartfield._pow}, "numpy"],
+                         printer=chartfield._Printer)
+        assert text == inspect.getsource(fn)
+
+
+def test_keyword_coordinate_compiles_and_stray_symbols_are_named():
+    lam, x = sp.Symbol("lambda"), sp.Symbol("x")
+    chart = Chart(("x", "lambda", "_arg1"), ((0, 3),) * 3)
+    field = compile_table(chart, {(0,): x * lam, (1,): lam ** 2,
+                                  (2,): sp.Symbol("_arg1")}, 1)()
+    assert field.components(np.array([2.0, 3.0, 1.0])) == {
+        (0,): 6.0, (1,): 9.0, (2,): 1.0}
+    with pytest.raises(ValueError, match="free symbols outside the "
+                       "coordinates and parameters: a, b"):
+        compile_table(chart, {(0,): x * sp.Symbol("b") + sp.Symbol("a")}, 1)

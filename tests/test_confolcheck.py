@@ -12,7 +12,7 @@ import sympy as sp
 from fractions import Fraction
 
 from confolkit import confolcheck, gallery
-from confolkit.chartfield import Chart, FormFieldNum, d_fd
+from confolkit.chartfield import Chart, FormFieldNum, d_fd, table_d
 from confolkit.conetame import (
     FAIL,
     PASS,
@@ -647,6 +647,36 @@ def test_open_book_n2_confoliation():
     shs = shs_check(StableHamiltonianPair(pair.h.alpha, pair.Omega,
                                           pair.chart), samples[:6])
     assert shs.status == PASS, shs.message
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("delta", [1.0, 1.01, 1e-3, 1e3])
+def test_open_book_dalpha_is_the_exact_table_d(n, delta):
+    # dalpha is written from the exact profile pieces; table_d of alpha's
+    # sympy table, compiled, is the reference.  Its expanded Piecewise loses
+    # digits to cancellation near the zeros of f' and g', so the tolerance
+    # is relative to each entry's largest value on the samples.
+    pair = open_book_confoliation(n, delta=delta)
+    ref = FormFieldNum.from_symbolic(
+        pair.chart, 2, table_d(pair.chart, pair.h.symbolic_table))
+    samples = open_book_samples(pair, count=60, seed=7)
+    got, want = pair.h.dalpha.eval_at(samples), ref.eval_at(samples)
+    scale = np.abs(want).max(axis=0)
+    assert np.all(np.abs(got - want) <= 1e-12 * scale)
+    # a point gives the same floats alone as in the batch
+    assert np.array_equal(got, [pair.h.dalpha.eval_at(p) for p in samples])
+    # f' and g' are exactly 0.0 off the transition piece (a, b]
+    _, a, b, _ = pair.profiles.stages
+    r = samples[:, pair.r_index]
+    flat = (r <= a) | (r > b)
+    assert flat.any() and not flat.all()
+    slope_keys = [k for k in pair.h.dalpha.coeffs if pair.r_index in k]
+    for key in slope_keys:
+        values = pair.h.dalpha.components(samples)[key]
+        assert np.all(values[flat] == 0.0)
+        assert np.all(values[~flat] != 0.0)
+    for prof in (pair.profiles.f, pair.profiles.g):
+        assert np.all(prof.numeric(1)(r[flat]) == 0.0)
 
 
 # ---------------------------------------------------------------------------
