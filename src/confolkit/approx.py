@@ -14,9 +14,11 @@ the family zeta_s whose rate is measured, and the target eta (from
 A symbolic family is one index-keyed coefficient table in the chart
 coordinates and the parameter (the table helpers live in chartfield and are
 re-exported here); alpha and its exact d are compiled once and each
-parameter value only binds.  The exact route reads the rate off the Laurent
-expansion of alpha ^ dalpha^(k+1); the numeric route fits it on a ladder of
-parameter values with the finite-difference d, so the two cross-check.
+parameter value only binds; base_table rejects a family that is not
+polynomial in its parameter.  The exact route reads the rate off the Laurent
+split (grassmann.laurent) of alpha ^ dalpha^(k+1); the numeric route fits it
+on a ladder of parameter values with the finite-difference d, so the two
+cross-check.
 Sample sets, a stratum's and the pooled generic ones, are ``(N, dim)``
 float arrays; the default generic set is ``sample_prefix``'s first 24
 points of a seeded grid, which cover the whole box.
@@ -35,6 +37,7 @@ from .chartfield import (Chart, FormFieldNum, _canon_table, compile_table,
 from .conetame import FAIL, PASS, UNDETERMINED
 from .confolcheck import (SKIPPED, ConfoliationData, HyperplaneField, Verdict,
                           _norms, aggregate, order_at)
+from .grassmann import laurent
 
 __all__ = [
     "DeformationFamily", "PartitionedForm", "StratumData", "StratumLimit",
@@ -45,51 +48,12 @@ __all__ = [
 ]
 
 
-# ---------------------------------------------------------------------------
-# parameter expansion
-# ---------------------------------------------------------------------------
-
-def _laurent(expr, s, max_deg=8):
-    """Map power -> coefficient for an expression rational in the parameter.
-
-    Piecewise coefficients defeat sympy's Poly; a Taylor fallback recovers
-    polynomial dependence up to ``max_deg`` and verifies the reconstruction.
-    """
-    e = sp.together(sp.expand(expr))
-    num, den = sp.fraction(e)
-    shift = sp.degree(sp.Poly(den, s)) if den.has(s) else 0
-    rem = sp.cancel(den / s ** shift)
-    if rem.has(s):
-        raise ValueError(f"denominator {den} is not a pure power of {s}")
-    if rem != 1:
-        # together() may park parameter-free factors (e.g. exp(t)) in the
-        # denominator; fold them back before reading off coefficients
-        num = sp.expand(num / rem)
-    try:
-        poly = sp.Poly(sp.expand(num), s)
-        pairs = [(k, c) for (k,), c in zip(poly.monoms(), poly.coeffs())]
-    except sp.PolynomialError:
-        pairs, g, fact = [], num, 1
-        for k in range(max_deg + 1):
-            pairs.append((k, sp.expand(g.subs(s, 0) / fact)))
-            g = sp.diff(g, s)
-            fact *= k + 1
-        rec = sum(c * s ** k for k, c in pairs)
-        if sp.simplify(sp.expand(num - rec)) != 0:
-            raise ValueError(f"coefficient not polynomial of degree "
-                             f"<= {max_deg} in {s}: {expr}")
-    out = {}
-    for k, c in pairs:
-        if c != 0:
-            out[k - shift] = out.get(k - shift, 0) + c
-    return out
-
-
 def base_table(chart, table, param):
     """The one-form table of a family at parameter = 0.
 
     Raises ValueError naming the differential whose coefficient is not
-    finite there: such a family has no base.
+    finite there (such a family has no base) or not polynomial in the
+    parameter (the exact conformal limits split it by powers of it).
     """
     out = {}
     for key, e in _canon_table(chart, table).items():
@@ -97,6 +61,9 @@ def base_table(chart, table, param):
         if e0.has(sp.zoo, sp.oo, -sp.oo, sp.nan):
             raise ValueError(f"coefficient of d{chart.names[key[0]]} is not "
                              f"finite at {param} = 0: the family has no base")
+        if not e.is_polynomial(param):
+            raise ValueError(f"coefficient of d{chart.names[key[0]]} is not "
+                             f"polynomial in {param}")
         e0 = sp.expand(e0)
         if e0 != 0:
             out[key] = e0
@@ -360,7 +327,7 @@ def _limit_symbolic(label, order, zeta, eta, samples, chart, param, tau):
     zeta = _canon_table(chart, zeta)
     by_power = {}
     for key, e in zeta.items():
-        for k, c in _laurent(e, s).items():
+        for k, c in laurent(e, s).items():
             by_power.setdefault(k, {})[key] = \
                 by_power.get(k, {}).get(key, 0) + c
 

@@ -522,11 +522,9 @@ def pullback(f: FormFieldNum, phi, source_chart, h=None):
     return FormFieldNum(source_chart, p_deg, out)
 
 
-def flow_rk4(X, p0, t, step=None, chart=None):
+def flow_rk4(X, p0, t, step):
     """Fixed-step RK4 flow of the vector field X from p0 for time t."""
     p = np.asarray(p0, dtype=float)
-    if step is None:
-        step = chart.default_h() if chart is not None else 1e-4
     n = max(1, math.ceil(abs(t) / step))
     dt = t / n
     for _ in range(n):

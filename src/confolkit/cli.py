@@ -637,8 +637,8 @@ class _Parser:
     def lower_numeric(self, fe, degree, tok, allow_param=True):
         """FormExpr built from coordinate differentials -> index-keyed table.
 
-        Rejects formal generators and abstract scalar symbols so every check
-        directive evaluates numerically.
+        Rejects formal generators, abstract scalar symbols and numbers too
+        large for a float, so every check directive evaluates numerically.
         """
         if self.chart is None:
             self.fail("no chart declared", tok)
@@ -665,6 +665,10 @@ class _Parser:
                 self.fail(f"coefficient depends on abstract quantities "
                           f"({what}); checks need closed-form coordinates",
                           tok)
+            if any(not math.isfinite(float(q))
+                   for q in coeff.atoms(sp.Rational)):
+                self.fail(f"coefficient of {self.alg.monomial_str(key)} "
+                          "holds a number too large for a float", tok)
             table[tuple(idx)] = coeff
         return _canon_table(self.chart, table)
 

@@ -339,8 +339,9 @@ def _ray_roots(coeffs, closed):
 # dyadic rationals (n, e) = n / 2**e.
 
 def _trim(p):
+    p = list(p)
     while p and p[-1] == 0:
-        p = p[:-1]
+        p.pop()
     return p
 
 
@@ -470,6 +471,38 @@ def _refine(f, a, b):
     return _to_float(b)
 
 
+# Arithmetic in Q[x] on the same lists (Fractions allowed, [] is zero), for
+# callers that build the polynomials the unit_* decisions below read.
+
+def _qadd(a, b):
+    n = max(len(a), len(b))
+    return _trim((a[k] if k < len(a) else 0) + (b[k] if k < len(b) else 0)
+                 for k in range(n))
+
+
+def _qmul(a, b):
+    out = [Fraction(0)] * max(len(a) + len(b) - 1, 0)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return _trim(out)
+
+
+def _qcompose(p, a, b):
+    """p(a + b s) as a polynomial in s."""
+    out = []
+    for c in reversed(p):
+        out = _qadd(_qmul(out, [a, b]), [c])
+    return out
+
+
+def _qeval(p, x):
+    out = Fraction(0)
+    for c in reversed(p):
+        out = out * x + c
+    return out
+
+
 # Exact decisions on the unit interval (0, 1] for polynomials over Q (lists of
 # ints or Fractions, constant term first).  Each scales its input to integers
 # and answers from Sturm counts at dyadic points.
@@ -479,7 +512,7 @@ _S0, _S1 = (0, 0), (1, 0)
 
 def _integer(p):
     """A positive multiple of p with coprime integer coefficients."""
-    p = _trim(list(p))
+    p = _trim(p)
     if not p:
         return []
     lcm = math.lcm(*(Fraction(c).denominator for c in p))
@@ -716,13 +749,13 @@ def _min_taming_margin(J, forms, tau_pos):
     return min(vals)
 
 
-def cotaming_search(forms, J_init, seed=0, budget=10_000, tau_pos=DEFAULT_TAU_POS):
+def cotaming_search(forms, J_init, seed=0, tau_pos=DEFAULT_TAU_POS):
     """Best-effort search for one J tamed by every form in ``forms``.
 
     Projected ascent in Cayley coordinates anchored at J_init (random
-    directions in the J_init-anticommuting space, shrinking steps, seeded
-    restarts).  Honest UNDETERMINED when the budget runs out: existence may
-    hold even when the search fails.
+    directions in the J_init-anticommuting space, shrinking steps, ten
+    seeded restarts within 10,000 steps).  Honest UNDETERMINED when the
+    steps run out: existence may hold even when the search fails.
     """
     J0 = J_init.J if isinstance(J_init, ComplexStructureMatrix) else np.asarray(J_init)
     n = len(J0)
@@ -735,7 +768,7 @@ def cotaming_search(forms, J_init, seed=0, budget=10_000, tau_pos=DEFAULT_TAU_PO
         W = np.zeros((n, n))
         step = 0.3
         cur = best_margin
-        while spent < budget // 10 * (_restart + 1):
+        while spent < 1000 * (_restart + 1):
             spent += 1
             G = rng.standard_normal((n, n)) * step
             Wc = _anticommuting_projection(W + G, J0)
@@ -768,7 +801,7 @@ def mu_orthogonal_complement(mu, K: BasedSubspace):
     return BasedSubspace(len(mu), null)
 
 
-def split_cotamed_J(pair: SkewPair, K: BasedSubspace, g=None, seed=0,
+def split_cotamed_J(pair: SkewPair, K: BasedSubspace,
                     tau_pos=DEFAULT_TAU_POS):
     """J = J_nu (+) J_K: J_K compatible with mu|_K, J_nu tamed by both
     dalpha|_nu and mu|_nu.
@@ -787,20 +820,20 @@ def split_cotamed_J(pair: SkewPair, K: BasedSubspace, g=None, seed=0,
     mu_K = K.restrict(mu)
     status = PASS
     try:
-        J_nu = compatible_J(da_nu, None if g is None else nu.restrict(g))
+        J_nu = compatible_J(da_nu)
     except np.linalg.LinAlgError:
         return None, FAIL
     if _min_taming_margin(J_nu.J, [mu_nu], tau_pos) <= tau_pos:
-        J_try = compatible_J(mu_nu, None if g is None else nu.restrict(g))
+        J_try = compatible_J(mu_nu)
         if _min_taming_margin(J_try.J, [da_nu], tau_pos) > tau_pos:
             J_nu = J_try
         else:
-            J_nu, status = cotaming_search([da_nu, mu_nu], J_nu, seed=seed,
+            J_nu, status = cotaming_search([da_nu, mu_nu], J_nu,
                                            tau_pos=tau_pos)
             if J_nu is None or status != PASS:
                 return None, UNDETERMINED
     if K.dim:
-        J_K = compatible_J(mu_K, None if g is None else K.restrict(g))
+        J_K = compatible_J(mu_K)
         a, b = len(J_nu.J), len(J_K.J)
         blocks = np.block([[J_nu.J, np.zeros((a, b))],
                            [np.zeros((b, a)), J_K.J]])

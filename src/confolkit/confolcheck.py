@@ -43,7 +43,13 @@ from confolkit.conetame import (
     UNDETERMINED,
     BasedSubspace,
     SkewPair,
+    _derivative,
+    _qadd,
+    _qcompose,
+    _qeval,
+    _qmul,
     _skew_rows,
+    _trim,
     kernel_with_tol,
     null_space,
     odd_rank_message,
@@ -235,13 +241,10 @@ def _order(norms, na, nda, n, tau) -> OrderResult:
     return OrderResult(k_star, PASS, norms)
 
 
-def char_dist_at(h: HyperplaneField, p, tau_rank=None, xi=None):
-    """(K_xi)_p = ker(dalpha restricted to ker alpha), in ambient coords.
-
-    ``xi`` is ``h.xi_basis(p)`` when the caller already has it.
-    """
+def char_dist_at(h: HyperplaneField, p, tau_rank=None):
+    """(K_xi)_p = ker(dalpha restricted to ker alpha), in ambient coords."""
     tau = 1e-7 if tau_rank is None else tau_rank
-    xi = h.xi_basis(p) if xi is None else xi
+    xi = h.xi_basis(p)
     M = xi.restrict(h.dalpha.eval_at(p))
     res = kernel_with_tol(M, tau)
     if res.status != PASS:
@@ -485,9 +488,10 @@ def flow_invariance_test(h: HyperplaneField, p, t_flow=None, tau=None) -> Verdic
 _r = sp.Symbol("r")
 
 
-def hermite_segment(x0, x1, y0, m0, y1, m1, var=_r):
-    """Cubic on [x0, x1] matching values and slopes at both ends (C^1 glue)."""
-    t = (var - x0) / (x1 - x0)
+def hermite_segment(x0, x1, y0, m0, y1, m1):
+    """Cubic in r on [x0, x1] matching values and slopes at both ends (C^1
+    glue)."""
+    t = (_r - x0) / (x1 - x0)
     w = x1 - x0
     return (y0 * (2 * t**3 - 3 * t**2 + 1) + m0 * w * (t**3 - 2 * t**2 + t)
             + y1 * (-2 * t**3 + 3 * t**2) + m1 * w * (t**3 - t**2))
@@ -534,7 +538,7 @@ class Profile:
 
     @functools.cached_property
     def exact(self):
-        return (tuple(map(_q, self.breaks)),
+        return (tuple(map(Fraction, self.breaks)),
                 tuple(_qcompose(p, -lo / w, 1 / w) for lo, w, p in self.local))
 
     @functools.cached_property
@@ -558,7 +562,7 @@ class Profile:
         pieces = []
         for lo, w, p in self.local:
             for _ in range(k):
-                p = _qderiv(p)
+                p = _derivative(p)
             pieces.append((float(lo), float(w), [float(c) for c in p]))
 
         def fn(r):
@@ -595,64 +599,13 @@ def _piece_expr(piece):
     return sum(sp.sympify(c) * _r**k for k, c in enumerate(piece))
 
 
-def _q(x):
-    """x in Q; a float converts exactly."""
-    if isinstance(x, sp.Basic):
-        x = sp.Rational(x)
-        return Fraction(int(x.p), int(x.q))
-    return Fraction(x)
-
-
-# Polynomials over Q are lists of Fractions, constant term first, without
-# zero leading coefficients; [] is the zero polynomial.
-
-def _qtrim(p):
-    p = list(p)
-    while p and p[-1] == 0:
-        p.pop()
-    return p
-
-
-def _qadd(a, b):
-    n = max(len(a), len(b))
-    return _qtrim((a[k] if k < len(a) else 0) + (b[k] if k < len(b) else 0)
-                  for k in range(n))
-
-
-def _qmul(a, b):
-    out = [Fraction(0)] * max(len(a) + len(b) - 1, 0)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return _qtrim(out)
-
-
-def _qcompose(p, a, b):
-    """p(a + b s) as a polynomial in s."""
-    out = []
-    for c in reversed(p):
-        out = _qadd(_qmul(out, [a, b]), [c])
-    return out
-
-
-def _qderiv(p):
-    return [k * c for k, c in enumerate(p)][1:]
-
-
-def _qeval(p, x):
-    out = Fraction(0)
-    for c in reversed(p):
-        out = out * x + c
-    return out
-
-
 def _piece_local(piece):
     if not isinstance(piece, Hermite):
-        return Fraction(0), Fraction(1), _qtrim(map(_q, piece))
-    x0, x1, y0, m0, y1, m1 = map(_q, piece)
+        return Fraction(0), Fraction(1), _trim(map(Fraction, piece))
+    x0, x1, y0, m0, y1, m1 = map(Fraction, piece)
     w = x1 - x0
-    return x0, w, _qtrim([y0, m0 * w, -3 * y0 - 2 * m0 * w + 3 * y1 - m1 * w,
-                          2 * y0 + m0 * w - 2 * y1 + m1 * w])
+    return x0, w, _trim([y0, m0 * w, -3 * y0 - 2 * m0 * w + 3 * y1 - m1 * w,
+                         2 * y0 + m0 * w - 2 * y1 + m1 * w])
 
 
 @dataclass(frozen=True)
@@ -673,9 +626,8 @@ class OpenBookProfiles:
     stages: tuple      # (delta1, a, b, delta2)
 
 
-def default_profiles(delta=1.0, stages=None) -> OpenBookProfiles:
-    d1, a, b, d2 = stages if stages else (0.15 * delta, 0.3 * delta,
-                                          0.6 * delta, 0.8 * delta)
+def default_profiles(delta=1.0) -> OpenBookProfiles:
+    d1, a, b, d2 = 0.15 * delta, 0.3 * delta, 0.6 * delta, 0.8 * delta
     half = sp.Rational(1, 2)
     f = Profile((a, b), ((1,), Hermite(a, b, 1, 0, 0, 0), (0,)))
     g = Profile((a, b), ((0,), Hermite(a, b, 0, 0, 1, 0), (1,)))
@@ -691,7 +643,7 @@ def default_profiles(delta=1.0, stages=None) -> OpenBookProfiles:
 def _collar_pieces(pr: OpenBookProfiles):
     """(lo, hi, f, g, h, l) over the intervals (lo, hi] between consecutive
     breakpoints of any profile in (0, delta]: one polynomial each."""
-    delta = _q(pr.delta)
+    delta = Fraction(pr.delta)
     profs = (pr.f, pr.g, pr.h, pr.l)
     cuts = sorted({x for p in profs for x in p.exact[0] if 0 < x < delta}
                   | {delta})
@@ -705,9 +657,10 @@ def _shs_residual(pr: OpenBookProfiles):
     derivative (their floats taken exactly)."""
     worst = 0.0
     for lo, hi, f, g, h, l in _collar_pieces(pr):
-        res = _qadd(_qmul(h, _qderiv(f)), _qmul(_qderiv(l), _qderiv(g)))
+        res = _qadd(_qmul(h, _derivative(f)),
+                    _qmul(_derivative(l), _derivative(g)))
         if res:
-            crit = unit_roots(_qcompose(_qderiv(res), lo, hi - lo))
+            crit = unit_roots(_qcompose(_derivative(res), lo, hi - lo))
             xs = [lo, hi] + [lo + (hi - lo) * Fraction(s) for s in crit]
             worst = max(worst, *(abs(float(_qeval(res, x))) for x in xs))
     return worst
@@ -725,7 +678,7 @@ def profile_constraints(pr: OpenBookProfiles) -> Verdict:
     max |-h f' - l' g'|, the stable Hamiltonian obstruction.
     """
     for lo, hi, f, g, h, l in _collar_pieces(pr):
-        fp, gp, lp = _qderiv(f), _qderiv(g), _qderiv(l)
+        fp, gp, lp = _derivative(f), _derivative(g), _derivative(l)
         F, G, H, Fp, Gp, Lp = (_qcompose(p, lo, hi - lo)
                                for p in (f, g, h, fp, gp, lp))
         for sign_name, p in (("f' > 0", [-c for c in Fp]), ("g' < 0", Gp),
@@ -751,7 +704,7 @@ def profile_constraints(pr: OpenBookProfiles) -> Verdict:
         return Verdict(FAIL, message="h(r) != r near the binding")
     if _qeval(pr.f.piece_above(0), 0) != 1:
         return Verdict(FAIL, message="f != 1 near the binding")
-    if _qeval(pr.g.piece_at(_q(pr.delta)), _q(pr.delta)) != 1:
+    if _qeval(pr.g.piece_at(Fraction(pr.delta)), Fraction(pr.delta)) != 1:
         return Verdict(FAIL, message="g != 1 at the outer rim")
     return Verdict(PASS, margins={"shs_residual": _shs_residual(pr)})
 
@@ -833,10 +786,10 @@ def open_book_confoliation(n, profiles: OpenBookProfiles = None,
     return OpenBookPair(chart, h_field, Omega, pr, audit, n, chart.index("r"))
 
 
-def open_book_samples(pair: OpenBookPair, count=40, seed=0, r_min=None):
+def open_book_samples(pair: OpenBookPair, count=40, seed=0):
     """``count`` seeded points of the collar chart (rows of an array) with
-    the radius in [r_min, 0.97 delta]."""
-    lo = 0.02 * pair.profiles.delta if r_min is None else r_min
+    the radius in [0.02 delta, 0.97 delta]."""
+    lo = 0.02 * pair.profiles.delta
     hi = 0.97 * pair.profiles.delta
     rng = np.random.default_rng(seed)
     out = np.empty((count, pair.chart.dim))

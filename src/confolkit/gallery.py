@@ -127,7 +127,7 @@ def _pts(*rows):
     return np.array(rows, dtype=float)
 
 
-def _exponent_agreement(fam, pf, rep=None, j_range=(4, 16)):
+def _exponent_agreement(fam, pf, rep=None):
     """Symbolic and numeric conformal limits must agree on the leading
     exponent (and both pass) on every non-contact stratum.  The symbolic
     lane is item (b) of the ``approx_verdict`` report ``rep`` (computed when
@@ -147,8 +147,7 @@ def _exponent_agreement(fam, pf, rep=None, j_range=(4, 16)):
         ln = conformal_limit({lab: _family_top(fam, sd.order)},
                              {lab: stratum_eta(fam, sd)}, {lab: sd.samples},
                              chart=fam.chart, param=fam.param,
-                             order={lab: sd.order}, j_range=j_range
-                             ).strata[lab]
+                             order={lab: sd.order}).strata[lab]
         ok = (ls.status == PASS and ln.status == PASS
               and ls.exponent == ln.exponent)
         sub[lab] = _bool_verdict(ok, {"symbolic": ls.exponent,

@@ -28,7 +28,9 @@ atom) and contractions run in that ring; ``is_zero`` and ``equals`` decide
 there after ``sin^2 u -> 1 - cos^2 u``.  Coefficients become sympy
 expressions only at the edges, by ``as_expr``: ``terms``, ``coefficient``,
 ``__str__``, ``subs``, ``map_coeffs`` and ``expand_in_param``; each is
-structurally equal to ``sp.expand`` of the coefficient.  A coefficient
+structurally equal to ``sp.expand`` of the coefficient.  ``laurent`` is
+the one split of a scalar by powers of a parameter: ``expand_in_param``
+and the approx module's exact conformal limits both read it.  A coefficient
 that uses an atom outside the fragment (a ``Float``, ``log x``,
 ``1/(x+1)``) is stored as that ``sp.expand`` sympy expression instead, and
 its arithmetic, ``d`` and zero tests are sympy's, as before the ring; its
@@ -156,6 +158,32 @@ def scalar_is_zero(expr):
         raise UnsupportedScalar(
             f"nonzero canonical form with related transcendental arguments: {num}")
     return False
+
+
+def laurent(expr, p):
+    """Map power -> nonzero coefficient of a scalar that is a polynomial in
+    the parameter ``p`` over a power of ``p``.
+
+    Factors free of ``p`` (a ``Piecewise`` in the coordinates, ``exp t``)
+    are coefficients, also in a denominator.  Anything else (``p`` under a
+    function or a fractional power, a denominator not a power of ``p``)
+    raises ValueError.
+    """
+    num, den = sp.fraction(sp.together(sp.expand(expr)))
+    try:
+        shift = sp.degree(sp.Poly(den, p)) if den.has(p) else 0
+        rem = sp.cancel(den / p ** shift)
+        if rem.has(p):
+            raise ValueError(f"denominator {den} is not a pure power of {p}")
+        if rem != 1:
+            # together() may park parameter-free factors (e.g. exp(t)) in
+            # the denominator; fold them back before reading off coefficients
+            num = num / rem
+        poly = sp.Poly(sp.expand(num), p)
+    except sp.PolynomialError as exc:
+        raise ValueError(f"not polynomial in {p}: {expr}") from exc
+    return {k - shift: c for (k,), c in zip(poly.monoms(), poly.coeffs())
+            if c != 0}
 
 
 # --------------------------------------------------------------------------
@@ -859,12 +887,14 @@ class FormExpr:
         for key, c in self._terms.items():
             e = self.alg.ring.as_expr(c)
             try:
-                poly = sp.Poly(e, p)
-            except sp.PolynomialError as exc:
+                split = laurent(e, p)
+                if min(split, default=0) < 0:
+                    raise ValueError(f"negative power of {p}")
+            except ValueError as exc:
                 raise ValueError(
                     f"coefficient of {self.alg.monomial_str(key)} is not "
                     f"polynomial in {p}: {e}") from exc
-            for (k,), coeff in zip(poly.monoms(), poly.coeffs()):
+            for k, coeff in split.items():
                 bucket = buckets.setdefault(k, {})
                 bucket[key] = bucket.get(key, 0) + coeff
         return ParamExpansion(p, {k: FormExpr(self.alg, t) for k, t in sorted(buckets.items())})

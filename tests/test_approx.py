@@ -27,9 +27,9 @@ from confolkit.approx import (
     table_to_field,
     table_wedge,
     table_wedge_power,
-    _laurent,
 )
 from confolkit.confolcheck import ConfoliationData, HyperplaneField
+from confolkit.grassmann import laurent
 
 R5 = Chart(("x1", "y1", "x2", "y2", "z"), tuple(((-1.0, 1.0),) * 5))
 x1, y1, x2, y2, z = sp.symbols("x1 y1 x2 y2 z")
@@ -96,25 +96,28 @@ def test_table_contract_antiderivation():
     assert out == {(1, 4): x2}
 
 
-def test_laurent_powers_and_piecewise_fallback():
+def test_laurent_powers_and_piecewise_coefficients():
     r = sp.Symbol("r")
-    lp = _laurent(x1 * s**2 + y1 / s, s)
+    lp = laurent(x1 * s**2 + y1 / s, s)
     assert set(lp) == {-1, 2}
     assert lp[-1] == y1 and lp[2] == x1
     pw = sp.Piecewise((r, r < 1), (1, True))
-    lp = _laurent(pw * s + s**3, s)
+    lp = laurent(pw * s + s**3, s)
     assert set(lp) == {1, 3}
     assert lp[1] == pw
     with pytest.raises(ValueError):
-        _laurent(sp.exp(s), s, max_deg=3)
+        laurent(sp.exp(s), s)
+    # s inside a Piecewise is not a power of s
+    with pytest.raises(ValueError):
+        laurent(s * sp.Piecewise((s, x1 < 0), (1, True)), s)
 
 
 def test_laurent_keeps_parameter_free_denominators():
     # together() rewrites e^(-t) s as s / e^t; the e^t must not be dropped
     t = sp.Symbol("t")
-    lp = _laurent(-s * sp.exp(-t), s)
+    lp = laurent(-s * sp.exp(-t), s)
     assert sp.simplify(lp[1] + sp.exp(-t)) == 0
-    lp = _laurent(s * x1 / sp.exp(t) + sp.exp(-2 * t) / s, s)
+    lp = laurent(s * x1 / sp.exp(t) + sp.exp(-2 * t) / s, s)
     assert sp.simplify(lp[1] - x1 * sp.exp(-t)) == 0
     assert sp.simplify(lp[-1] - sp.exp(-2 * t)) == 0
 

@@ -561,6 +561,34 @@ def test_family_singular_at_the_base_is_a_diagnostic(tmp_path):
     assert f"{doc}:6:14: coefficient of dy is not finite at s = 0" in r.stderr
 
 
+_APPROX_DOC = ("chart x y z\nparam s\nform a = dz + {} * dy\n"
+               "form W = dx ^ dy\nextend mu on stratum 0 = dx ^ dy\n"
+               "check approx a W\n")
+_CHECK_DOC = ("chart x y z\nform a = dz + {} * dy\nform W = dx ^ dy\n"
+              "check {} a W\n")
+
+
+@pytest.mark.parametrize("text, where", [
+    (_APPROX_DOC.format("s^(1/2) * x"),
+     "6:14: coefficient of dy is not polynomial in s"),
+    (_APPROX_DOC.format("s * x / (s + 1)"),
+     "6:14: coefficient of dy is not polynomial in s"),
+    (_CHECK_DOC.format("10^400 * x", "confoliation"),
+     "4:20: coefficient of dy holds a number too large for a float"),
+    (_CHECK_DOC.format("10^400 * x", "shs"),
+     "4:11: coefficient of dy holds a number too large for a float")],
+    ids=["fractional-power", "rational-in-s", "huge-confoliation",
+         "huge-shs"])
+def test_nonpolynomial_family_or_huge_number_is_a_diagnostic(tmp_path, text,
+                                                             where):
+    doc = tmp_path / "doc.cfl"
+    doc.write_text(text)
+    r = _run_cli(doc)
+    assert r.returncode == 3
+    assert "Traceback" not in r.stderr
+    assert f"{doc}:{where}" in r.stderr
+
+
 def test_unlocatable_stratum_gives_undetermined_exit_2():
     rep = run(parse(GHOST_STRATUM_DOC))
     assert rep.exit_code == 2
