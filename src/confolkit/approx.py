@@ -36,7 +36,7 @@ from .chartfield import (Chart, FormFieldNum, _canon_table, compile_table,
                          table_wedge_power)
 from .conetame import FAIL, PASS, UNDETERMINED
 from .confolcheck import (SKIPPED, ConfoliationData, HyperplaneField, Verdict,
-                          _norms, aggregate, order_at)
+                          _field_norms, _norms, aggregate, order_at)
 from .grassmann import laurent
 
 __all__ = [
@@ -210,12 +210,10 @@ def stratum_eta(fam: DeformationFamily, sd: StratumData):
 
 def _comp_rows(f: FormFieldNum, P):
     """Components of f at the points P (N, dim): an (N, K) array, one column
-    per key, and the sorted keys."""
+    per key in the field's key order, and the keys."""
     comp = f.components(P)
-    keys = sorted(comp)
-    rows = np.stack([comp[k] for k in keys], axis=1) if keys else \
-        np.zeros((len(P), 0))
-    return rows, keys
+    return (np.stack(list(comp.values()), axis=1) if comp
+            else np.zeros((len(P), 0))), list(comp)
 
 
 def _misalignments(va, vb):
@@ -233,10 +231,6 @@ def _misalignments(va, vb):
     x, y = x[live] / nx[live, None], y[live] / ny[live, None]
     out[live] = np.minimum(_norms(x - y), _norms(x + y))
     return out
-
-
-def _field_norm_at(f: FormFieldNum, p):
-    return math.sqrt(sum(v * v for v in f.components(p).values()))
 
 
 def _ratio_match(zcomp, ecomp, tau):
@@ -335,8 +329,8 @@ def _limit_symbolic(label, order, zeta, eta, samples, chart, param, tau):
     exponent = None
     for k in sorted(by_power):
         fld = table_to_field(chart, by_power[k])
-        mx = max((abs(v) for p in samples
-                  for v in fld.components(p).values()),
+        # Python's max over the points in order, each point's keys in order
+        mx = max(np.abs(_comp_rows(fld, samples)[0]).ravel().tolist(),
                  default=0.0)
         if mx > tau:
             exponent, lead = k, fld
@@ -365,9 +359,11 @@ def _factor_fit(lead: FormFieldNum, eta, samples, tau, spread_tol, scale=1.0):
     if isinstance(eta, dict):
         eta = table_to_field(lead.chart, eta)
     ratios, resid = [], 0.0
-    for p in samples:
-        zc = {k: v / scale for k, v in lead.components(p).items()}
-        r, rs = _ratio_match(zc, eta.components(p), tau)
+    lc = {k: v / scale for k, v in lead.components(samples).items()}
+    ec = eta.components(samples)
+    for i, p in enumerate(samples):
+        r, rs = _ratio_match({k: v[i] for k, v in lc.items()},
+                             {k: v[i] for k, v in ec.items()}, tau)
         if r is None:
             return p, None, None, None
         ratios.append(r)
@@ -383,11 +379,12 @@ def _limit_numeric(label, order, zeta, eta, samples, j_range, tau_num):
     svals = 2.0 ** (-js)
     slopes, r2s = [], []
     fields = [zeta(float(s)) for s in svals]
-    for p in samples:
-        norms = np.array([_field_norm_at(f, p) for f in fields])
-        if np.any(norms <= 0):
+    ladder = np.stack([_field_norms(f, samples) for f in fields], axis=1)
+    for norms in ladder:
+        if not np.all(np.isfinite(norms) & (norms > 0)):
+            why = "vanishes" if np.any(norms <= 0) else "is not finite"
             return StratumLimit(label, order, None, None, np.array([]), 1.0,
-                                FAIL, message="family vanishes on the ladder")
+                                FAIL, message=f"family {why} on the ladder")
         x, y = np.log(svals), np.log(norms)
         A = np.vstack([x, np.ones_like(x)]).T
         (m, _), res, _, _ = np.linalg.lstsq(A, y, rcond=None)
@@ -443,7 +440,11 @@ def _q_coeffs(c: ConfoliationData, sd: StratumData, n):
 
 
 def _q_point_verdict(Q, tau):
-    """(status, margin, witness-detail) for one bivariate coefficient dict."""
+    """(status, margin, witness-detail) for one bivariate coefficient dict;
+    a nan or infinite coefficient FAILs."""
+    bad = next((bm for bm, v in Q.items() if not math.isfinite(v)), None)
+    if bad is not None:
+        return FAIL, -math.inf, ("coefficient not finite", bad)
     scale = max(max(abs(v) for v in Q.values()), 1e-300)
     const = Q.get((0, 0), 0.0)
     if const < -tau * scale:
@@ -497,11 +498,12 @@ def compat_check(c: ConfoliationData, pf: PartitionedForm, tau=None) -> Verdict:
         if _stratum_mu(chart, sd) is None and sd.order < n:
             sub[lab] = Verdict(FAIL, message=f"stratum {lab} missing mu")
             continue
-        fields = _q_coeffs(c, sd, n)
+        zero = np.zeros(len(sd.samples))
+        cols = {bm: coef * f.components(sd.samples).get(top, zero)
+                for bm, (coef, f) in _q_coeffs(c, sd, n).items()}
         worst, wit, statuses = np.inf, None, []
-        for p in sd.samples:
-            Q = {bm: coef * f.components(p).get(top, 0.0)
-                 for bm, (coef, f) in fields.items()}
+        for i, p in enumerate(sd.samples):
+            Q = {bm: float(v[i]) for bm, v in cols.items()}
             st, margin, detail = _q_point_verdict(Q, tau)
             statuses.append(st)
             if margin < worst:
@@ -596,8 +598,8 @@ def approx_verdict(fam: DeformationFamily, pf: PartitionedForm, samples=None,
             a_sub[lab] = Verdict(FAIL, message=f"stratum {lab} missing mu")
             continue
         anchor = _beta_k(fam.base.h, k).wedge(mu)
-        low = min(_field_norm_at(anchor, p) for p in samples_i)
-        scale = max(_field_norm_at(fam.base.h.alpha, p) for p in samples_i)
+        low = min(_field_norms(anchor, samples_i).tolist())
+        scale = max(_field_norms(fam.base.h.alpha, samples_i).tolist())
         a_sub[lab] = Verdict(PASS if low > tau * scale else FAIL,
                              {"min_norm": low}, None,
                              f"beta ^ dbeta^{k} ^ mu nonzero on stratum")

@@ -13,18 +13,18 @@ short-time RK4 flows and seeded sample grids.
 A sample set is an ``(N, dim)`` float array, one point per row;
 ``sample_prefix`` orders a grid so that every prefix covers the box.
 
-Evaluation contract.  A coefficient callable takes the coordinates with the
-chart coordinate on the first axis: an array of shape ``(dim,)`` for one
-point, ``(dim, N)`` for N points, and returns a scalar or an ``(N,)`` array.
-``lambda p: p[0]``, a constant and a compiled table all satisfy it
-unchanged.  ``FormFieldNum.eval_at`` and ``components`` take one point
-``(dim,)`` or a batch ``(N, dim)`` (``Chart.lift`` too) and then put the
-leading N axis first; a verifier evaluates its forms once on all its samples
-this way and decides sample by sample in order, so a field handed to a
-verifier needs coefficients that take a batch.  Sums, scalings, wedges and
-``d_fd`` keep the contract; ``pullback`` coefficients take one point at a
-time.  Coefficients are evaluated with numpy's invalid/divide/overflow
-warnings off: a nan or infinite value is the verifier's to report.
+Evaluation contract.  Every coefficient callable, a pullback's included,
+takes the coordinates of N points with the chart coordinate on the first
+axis, an array of shape ``(dim, N)``, and returns an ``(N,)`` array or a
+scalar (a constant broadcasts).  ``lambda p: p[0]``, a constant and a
+compiled table all satisfy it unchanged.  ``Chart.lift``,
+``FormFieldNum.components`` and ``eval_at`` take a batch ``(N, dim)`` and put
+the leading N axis first; a point ``(dim,)`` is a one-row batch whose row is
+returned alone.  A verifier evaluates its forms once on all its samples this
+way and decides sample by sample in order.  Sums, scalings, wedges,
+``d_fd`` and ``pullback`` keep the contract.  Coefficients are evaluated
+with numpy's invalid/divide/overflow warnings off: a nan or infinite value
+is the verifier's to report.
 """
 
 from __future__ import annotations
@@ -55,9 +55,12 @@ class Chart:
     def __post_init__(self):
         if len(self.names) != len(self.box) or not self.names:
             raise ValueError("need one (lo, hi) interval per coordinate")
-        for lo, hi in self.box:
-            if not hi > lo:
-                raise ValueError("empty box interval")
+        if not all(hi > lo for lo, hi in self.box):
+            raise ValueError("empty box interval")
+        # the sample grid adds two ends of an interval
+        if not math.isfinite(self.diameter() + 2 * max(
+                max(-lo, hi) for lo, hi in self.box)):
+            raise ValueError("chart box is too wide for a float")
         unknown = set(self.periodic) - set(self.names)
         if unknown:
             raise ValueError(f"periodic flags for unknown coordinates {unknown}")
@@ -75,42 +78,45 @@ class Chart:
     def index(self, name):
         return self.names.index(name)
 
+    @functools.cached_property
+    def _bounds(self):
+        """Box ends widened by 1e-12; periodic indices, starts, periods."""
+        lo, hi = np.array(self.box, dtype=float).T
+        per = [i for i, n in enumerate(self.names) if n in self.periodic]
+        return lo - 1e-12, hi + 1e-12, per, lo[per], (hi - lo)[per]
+
     def lift(self, p):
         """Wrap periodic coordinates into the box; error on out-of-box rest.
 
-        ``p`` is one point ``(dim,)`` or N points ``(N, dim)``.
+        ``p`` is N points ``(N, dim)``, or one point ``(dim,)``.
         """
         p = np.asarray(p, dtype=float)
         if p.ndim not in (1, 2) or p.shape[-1] != self.dim:
             raise ValueError(f"point has shape {p.shape}, chart dim {self.dim}")
-        batch = p.ndim == 2
-        q = p.copy()
-        for i, name in enumerate(self.names):
-            lo, hi = self.box[i]
-            at = (slice(None), i) if batch else i  # coordinate i, each point
-            x = p[at]
-            if name in self.periodic:
-                q[at] = lo + (x - lo) % (hi - lo)
-                continue
-            if batch:
-                bad = x[~((lo - 1e-12 <= x) & (x <= hi + 1e-12))]
-                bad = bad[0] if bad.size else None
-            else:
-                bad = None if lo - 1e-12 <= x <= hi + 1e-12 else x
-            if bad is not None:
-                raise ValueError(
-                    f"coordinate {name}={bad} outside [{lo}, {hi}]")
-        return q
+        lo, hi, per, start, period = self._bounds
+        q = p.reshape(-1, self.dim).copy()
+        if per:
+            q[:, per] = start + (q[:, per] - start) % period
+        ok = (lo <= q) & (q <= hi)
+        ok[:, per] = True
+        if not ok.all():
+            i = int(np.argmin(ok.all(axis=0)))    # the first such coordinate
+            raise ValueError(f"coordinate {self.names[i]}="
+                             f"{q[np.argmin(ok[:, i]), i]} outside "
+                             f"[{self.box[i][0]}, {self.box[i][1]}]")
+        return q.reshape(p.shape)
 
     def symbols(self):
         return sp.symbols(self.names)
 
 
 @functools.cache
-def _alternations(key):
-    """(permutation of the sorted key, its sign) for every permutation."""
-    return tuple((perm, _sort_sign(perm)[1])
-                 for perm in itertools.permutations(key))
+def _alternations(key, dim):
+    """The flat positions, in a (dim,) * len(key) array, of every
+    permutation of the sorted key, and the permutations' signs."""
+    perms = list(itertools.permutations(key))
+    return ([np.ravel_multi_index(m, (dim,) * len(key)) for m in perms],
+            np.array([_sort_sign(m)[1] for m in perms], dtype=float))
 
 
 def _rows(v, n):
@@ -145,13 +151,11 @@ class FormFieldNum:
     def __init__(self, chart, degree, coeffs):
         self.chart = chart
         self.degree = degree
-        clean = {}
-        for key, fn in coeffs.items():
+        for key in coeffs:
             if len(key) != degree or list(key) != sorted(set(key)):
                 raise ValueError(f"coefficient key {key} is not a sorted "
                                  f"{degree}-subset")
-            clean[key] = fn
-        self.coeffs = clean
+        self.coeffs = dict(coeffs)
         self.stats = {"one_sided": 0}
 
     @classmethod
@@ -161,31 +165,26 @@ class FormFieldNum:
 
     # -- evaluation --------------------------------------------------------
     def components(self, p):
-        """Sorted-key coefficient dict at p: floats at one point ``(dim,)``,
-        ``(N,)`` arrays at N points ``(N, dim)``."""
-        q = self.chart.lift(p)
+        """Sorted-key coefficient dict at N points ``(N, dim)``: ``(N,)``
+        arrays; at one point ``(dim,)``, floats."""
+        q = self.chart.lift(p).reshape(-1, self.chart.dim)
         with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-            if q.ndim == 1:
-                return {key: float(fn(q)) for key, fn in self.coeffs.items()}
-            qt = q.T
-            return {key: _rows(fn(qt), len(q))
-                    for key, fn in self.coeffs.items()}
+            comps = {key: _rows(fn(q.T), len(q))
+                     for key, fn in self.coeffs.items()}
+        return comps if np.ndim(p) == 2 else {
+            key: float(v[0]) for key, v in comps.items()}
 
     def eval_at(self, p):
-        """Full alternating component array at p (scalar for degree 0); at N
-        points ``(N, dim)`` the arrays gain a leading N axis."""
-        comps = self.components(p)
-        lead = np.shape(p)[:-1]
-        if self.degree == 0:
-            return comps.get((), np.zeros(lead) if lead else 0.0)
-        T = np.zeros(lead + (self.chart.dim,) * self.degree)
-        for key, v in comps.items():
-            if not lead and v == 0.0:
-                continue
-            # each permutation of the sorted key, with its parity
-            for perm, s in _alternations(key):
-                T[(..., *perm)] += s * v
-        return T
+        """Full alternating component array at N points ``(N, dim)``, with
+        the leading N axis first; at one point ``(dim,)``, its one row."""
+        P = np.atleast_2d(p)
+        T = np.zeros((len(P), self.chart.dim ** self.degree))
+        for key, v in self.components(P).items():
+            # each permutation of the key, signed; + 0.0 turns -0.0 into 0.0
+            pos, sign = _alternations(key, self.chart.dim)
+            T[:, pos] = sign * v[:, None] + 0.0
+        T = T.reshape((len(P),) + (self.chart.dim,) * self.degree)
+        return T if np.ndim(p) == 2 else T[0]
 
     # -- algebra -----------------------------------------------------------
     def __add__(self, other):
@@ -200,12 +199,9 @@ class FormFieldNum:
         return FormFieldNum(self.chart, self.degree, out)
 
     def scale(self, c):
-        if callable(c):
-            return FormFieldNum(self.chart, self.degree, {
-                k: (lambda f: lambda p: c(p) * f(p))(fn)
-                for k, fn in self.coeffs.items()})
+        cf = c if callable(c) else (lambda p: c)
         return FormFieldNum(self.chart, self.degree, {
-            k: (lambda f: lambda p: c * f(p))(fn)
+            k: (lambda f: lambda p: cf(p) * f(p))(fn)
             for k, fn in self.coeffs.items()})
 
     def __neg__(self):
@@ -417,21 +413,13 @@ def table_to_field(chart, table, degree=None):
     return compile_table(chart, table, degree)()
 
 
-def _step(p, i, h):
-    """h times the i-th unit vector, shaped to add to p (one point or a
-    coordinate-first batch)."""
-    e = np.zeros((len(p),) + (1,) * (np.ndim(p) - 1))
-    e[i] = h
-    return e
-
-
-def _partial(fn, p, i, h, box, stats=None):
-    """Central-difference partial, one-sided (O(h)) against a box edge; the
-    choice is made per point."""
+def _partial(fn, p, i, e, h, box, stats=None):
+    """Central-difference partial along the step e = h times the i-th unit
+    vector, one-sided (O(h)) against a box edge; the choice is made per
+    point."""
     lo, hi = box[i]
     ok_plus = p[i] + h <= hi + 1e-15
     central = ok_plus & (p[i] - h >= lo - 1e-15)
-    e = _step(p, i, h)
     if np.all(central):
         return (fn(p + e) - fn(p - e)) / (2 * h)
     if stats is not None:
@@ -446,8 +434,6 @@ def d_fd(f: FormFieldNum, h=None):
     chart = f.chart
     h = chart.default_h() if h is None else h
     periodic_idx = {chart.index(n) for n in chart.periodic}
-    out = {}
-    box = chart.box
 
     def make_coeff(key_new):
         def coeff(p):
@@ -457,69 +443,59 @@ def d_fd(f: FormFieldNum, h=None):
                 fn = f.coeffs.get(rest)
                 if fn is None:
                     continue
+                e = np.zeros((len(p), 1))
+                e[i] = h
                 if i in periodic_idx:
-                    e = _step(p, i, h)
                     # lift takes points as rows; p is coordinate-first
                     dpart = (fn(chart.lift((p + e).T).T)
                              - fn(chart.lift((p - e).T).T)) / (2 * h)
                 else:
-                    dpart = _partial(fn, p, i, h, box, f.stats)
+                    dpart = _partial(fn, p, i, e, h, chart.box, f.stats)
                 total += (-1) ** j * dpart
             return total
         return coeff
 
-    keys_new = set()
-    for key in f.coeffs:
-        for i in range(chart.dim):
-            k2, s = _sort_sign((i,) + key)
-            if s:
-                keys_new.add(k2)
-    for key_new in keys_new:
-        out[key_new] = make_coeff(key_new)
-    return FormFieldNum(chart, f.degree + 1, out)
+    keys_new = {k2 for key in f.coeffs for i in range(chart.dim)
+                for k2, s in [_sort_sign((i,) + key)] if s}
+    return FormFieldNum(chart, f.degree + 1,
+                        {k: make_coeff(k) for k in keys_new})
 
 
 def fd_jacobian(phi, p, h):
     p = np.asarray(p, dtype=float)
-    cols = []
-    for i in range(len(p)):
-        e = np.zeros(len(p))
-        e[i] = h
-        cols.append((np.asarray(phi(p + e)) - np.asarray(phi(p - e))) / (2 * h))
-    return np.stack(cols, axis=1)
+    return np.stack([(np.asarray(phi(p + e)) - np.asarray(phi(p - e)))
+                     / (2 * h) for e in h * np.eye(len(p))], axis=1)
 
 
 def pullback(f: FormFieldNum, phi, source_chart, h=None):
     """(phi^* f) on source_chart for phi: source_chart -> f.chart.
 
-    The Jacobian is finite-differenced; coefficients come out as sums of
-    minor determinants against the target coefficients.
+    ``phi`` maps one point to one point.  The Jacobian is
+    finite-differenced at each point; coefficients come out as sums of
+    minor determinants against the target coefficients, which are evaluated
+    once on the images of all the points.
     """
     h = source_chart.default_h() if h is None else h
-    p_deg = f.degree
 
     def make_coeff(key_src):
-        def coeff(q):
-            J = fd_jacobian(phi, q, h)
-            x = np.asarray(phi(q))
-            total = 0.0
+        def coeff(Q):
+            # the images, lifted, coordinate first (one column for one point)
+            X = f.chart.lift(np.array([phi(q) for q in Q.T], dtype=float)
+                             .reshape(-1, f.chart.dim)).T
+            J = np.array([fd_jacobian(phi, q, h) for q in Q.T]).reshape(
+                -1, f.chart.dim, source_chart.dim)
+            total = np.zeros(len(J))
             for key_tgt, fn in f.coeffs.items():
-                v = fn(f.chart.lift(x))
-                if v == 0.0:
-                    continue
-                minor = J[np.ix_(key_tgt, key_src)]
-                total += v * np.linalg.det(minor)
+                # one stacked det: each minor's det is its det alone
+                det = np.linalg.det(J[:, key_tgt][:, :, key_src])
+                v = _rows(fn(X), len(J))
+                total += np.where(v != 0.0, v * det, 0.0)
             return total
         return coeff
 
-    if p_deg == 0:
-        fn0 = f.coeffs.get((), lambda p: 0.0)
-        return FormFieldNum(source_chart, 0,
-                            {(): lambda q: fn0(f.chart.lift(np.asarray(phi(q))))})
-    out = {}
-    for key_src in itertools.combinations(range(source_chart.dim), p_deg):
-        out[key_src] = make_coeff(key_src)
-    return FormFieldNum(source_chart, p_deg, out)
+    return FormFieldNum(source_chart, f.degree, {
+        key_src: make_coeff(key_src) for key_src in
+        itertools.combinations(range(source_chart.dim), f.degree)})
 
 
 def flow_rk4(X, p0, t, step):

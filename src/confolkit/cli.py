@@ -333,8 +333,11 @@ class _Parser:
                 if not lo < hi:
                     self.fail(f"empty box for coordinate '{cs.name}'", kw)
                 boxes.append((lo, hi))
-        self.chart = Chart(tuple(s.name for s in specs), tuple(boxes),
-                          periodic=tuple(s.name for s in specs if s.periodic))
+        try:
+            self.chart = Chart(tuple(s.name for s in specs), tuple(boxes),
+                               tuple(s.name for s in specs if s.periodic))
+        except ValueError as e:
+            self.fail(str(e), kw)
         self.alg = FormAlgebra(top_degree=self.chart.dim)
         for cs in specs:
             try:
@@ -492,6 +495,9 @@ class _Parser:
             elif t.kind == "name":
                 self.fail(f"parameter '{key}' takes a number, got {val!r}",
                           t)
+            elif not math.isfinite(float(val)):
+                self.fail(f"parameter '{key}' takes a number that fits a "
+                          f"float, got {val}", t)
             if key == "seed" and float(val) < 0:
                 self.fail(f"seed must be an integer >= 0, got {val}", t)
         stmt = GalleryStmt(name, tuple(params), span=(kw.line, kw.col))
@@ -880,6 +886,9 @@ def _nelder_mead(F, X0, xatol, fatol, maxiter):
     return best, fbest
 
 
+# values near the float range overflow the squares and the simplex steps;
+# an inf or nan compares False, as in scipy, and is not reported
+@np.errstate(over="ignore", invalid="ignore")
 def _locate_stratum(chart, base_h, order, flags, limit=6):
     """Points where the base degenerates to the given order, found by
     driving |beta ^ dbeta^(order+1)|^2 to zero from seeded starts.
@@ -898,6 +907,10 @@ def _locate_stratum(chart, base_h, order, flags, limit=6):
     def F(X):
         # np.clip's result, without its per-call dispatch
         X = np.minimum(np.maximum(X, inner_lo), inner_hi)
+        if np.isnan(X).any():   # a point the simplex overflowed: no candidate
+            lost = np.isnan(X).any(axis=1)
+            return np.where(lost, np.inf,
+                            F(np.where(lost[:, None], inner_lo, X)))
         return sum((v * v for v in fld.components(X).values()),
                    np.zeros(len(X)))
 
@@ -908,10 +921,10 @@ def _locate_stratum(chart, base_h, order, flags, limit=6):
         done += len(batch)
         xs, fxs = _nelder_mead(F, batch, xatol=1e-12, fatol=1e-24,
                                maxiter=4000)
-        for x, fx in zip(xs, fxs):
+        Q = np.clip(xs, inner_lo, inner_hi)
+        for q, fx, res in zip(Q, fxs, order_at(base_h, Q, flags.tol_rank)):
             reached = min(reached, float(fx))
-            q = np.clip(x, inner_lo, inner_hi)
-            if order_at(base_h, q, flags.tol_rank).k != order:
+            if res.k != order:
                 continue
             if any(np.linalg.norm(q - f) < 1e-3 for f in found):
                 continue
@@ -1102,7 +1115,11 @@ def run(doc: CflDocument, flags=None) -> Report:
 
     def one(job):
         idx, entry = job
-        verdict, extra = _RUNNERS[entry[0]](doc, entry, flags)
+        try:
+            verdict, extra = _RUNNERS[entry[0]](doc, entry, flags)
+        except OverflowError:     # a derived form's number, e.g. 10^600
+            raise CflError(f"{_print_stmt(entry[1])}: a number in the check "
+                           "is too large for a float", *entry[1].span) from None
         return idx, entry, verdict, extra
 
     results = []

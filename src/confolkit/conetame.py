@@ -42,8 +42,10 @@ def _skew(m):
 
 
 def _skew_rows(M):
-    """_skew of each M[i]."""
-    return 0.5 * (M - np.swapaxes(M, 1, 2))
+    """_skew of each M[i]; entries near the float range may overflow to
+    inf, which the callers' checks report."""
+    with np.errstate(over="ignore"):
+        return 0.5 * (M - np.swapaxes(M, 1, 2))
 
 
 @dataclass

@@ -37,6 +37,7 @@ from confolkit.chartfield import (
     table_d,
 )
 from confolkit.conetame import (
+    DEFAULT_TAU_RANK,
     FAIL,
     PASS,
     RAY_TOL,
@@ -95,16 +96,9 @@ def aggregate(subs: dict) -> str:
 
 def _not_finite(values):
     """Name of the first form in ``values`` (name -> its values at one point)
-    with a non-finite entry, else None; one np.isfinite call in all."""
-    flat = [np.ravel(v) for v in values.values()]
-    ok = np.isfinite(np.concatenate(flat))
-    if ok.all():
-        return None
-    first = int(np.argmin(ok))
-    for name, v in zip(values, flat):
-        if first < v.size:
-            return name
-        first -= v.size
+    with a non-finite entry, else None."""
+    return next((name for name, v in values.items()
+                 if not np.isfinite(v).all()), None)
 
 
 def _finite_rows(*arrays):
@@ -118,9 +112,30 @@ def _finite_rows(*arrays):
 def _norms(T):
     """np.linalg.norm of each T[i], computed as numpy computes it (the square
     root of the flattened dot product), so a row's norm is its single-point
-    norm bit for bit."""
+    norm bit for bit; see _rescaled for a row whose squares overflow."""
     flat = T.reshape(len(T), math.prod(T.shape[1:]))
-    return np.sqrt(np.array([r.dot(r) for r in flat]))
+    with np.errstate(over="ignore"):
+        return _rescaled(np.sqrt(np.array([r.dot(r) for r in flat])), flat)
+
+
+def _field_norms(f: FormFieldNum, P):
+    """Per row of P (N, dim), the norm of f's components there: squares
+    summed in key order (see _rescaled for a row whose squares overflow)."""
+    cols = list(f.components(P).values())
+    with np.errstate(over="ignore"):
+        norms = np.sqrt(sum((v * v for v in cols), np.zeros(len(P))))
+    return _rescaled(norms, np.stack(cols, axis=1)) if cols else norms
+
+
+def _rescaled(norms, flat):
+    """``norms``, with big * norm(row / big) for each finite row of ``flat``
+    whose norm overflowed (big: its largest entry); others keep their bits."""
+    for i in np.flatnonzero(norms == np.inf):
+        if np.isfinite(flat[i]).all():
+            big = np.abs(flat[i]).max()
+            row = flat[i] / big
+            norms[i] = big * np.sqrt(row.dot(row))
+    return norms
 
 
 def _xi_frames(A):
@@ -202,25 +217,21 @@ class OrderResult:
     message: str = ""
 
 
-def order_at(h: HyperplaneField, p, tau_rank=None):
+def order_at(h: HyperplaneField, p, tau_rank=DEFAULT_TAU_RANK):
     """Largest k with alpha ^ (dalpha)^k nonzero at p, by tensor norms.
 
     The scale for the k-th norm is ||alpha|| * max(||dalpha||, 1)^k; values
     inside the band (1e-2..1) * tau * scale are ambiguous -> UNDETERMINED.
-    At N points ``(N, dim)`` the result is a list, one OrderResult each.
+    At N points ``(N, dim)`` the result is a list, one OrderResult each; at
+    one point ``(dim,)``, its OrderResult.
     """
-    tau = 1e-7 if tau_rank is None else tau_rank
-    a, da = h.alpha.eval_at(p), h.dalpha.eval_at(p)
-    lead = np.shape(p)[:-1]
-    norms = [np.broadcast_to(np.sqrt(sum(v * v for v in
-                                         f.components(p).values())), lead)
-             for f in h.wedge_powers()]
-    if not lead:
-        return _order([float(x) for x in norms], np.linalg.norm(a),
-                      max(np.linalg.norm(da), 1.0), h.n_max(), tau)
-    return [_order([float(x[i]) for x in norms], na, max(nda, 1.0),
-                   h.n_max(), tau)
-            for i, (na, nda) in enumerate(zip(_norms(a), _norms(da)))]
+    P = np.atleast_2d(p)
+    na, nda = _norms(h.alpha.eval_at(P)), _norms(h.dalpha.eval_at(P))
+    norms = [_field_norms(f, P) for f in h.wedge_powers()]
+    with np.errstate(over="ignore"):        # a scale may overflow to inf
+        out = [_order([float(x[i]) for x in norms], na[i], max(nda[i], 1.0),
+                      h.n_max(), tau_rank) for i in range(len(P))]
+    return out if np.ndim(p) == 2 else out[0]
 
 
 def _order(norms, na, nda, n, tau) -> OrderResult:
@@ -241,12 +252,11 @@ def _order(norms, na, nda, n, tau) -> OrderResult:
     return OrderResult(k_star, PASS, norms)
 
 
-def char_dist_at(h: HyperplaneField, p, tau_rank=None):
+def char_dist_at(h: HyperplaneField, p, tau_rank=DEFAULT_TAU_RANK):
     """(K_xi)_p = ker(dalpha restricted to ker alpha), in ambient coords."""
-    tau = 1e-7 if tau_rank is None else tau_rank
     xi = h.xi_basis(p)
     M = xi.restrict(h.dalpha.eval_at(p))
-    res = kernel_with_tol(M, tau)
+    res = kernel_with_tol(M, tau_rank)
     if res.status != PASS:
         return res
     amb = xi.basis @ res.subspace.basis
@@ -255,7 +265,7 @@ def char_dist_at(h: HyperplaneField, p, tau_rank=None):
     return res
 
 
-def rank_stratify(h: HyperplaneField, samples, tau_rank=None):
+def rank_stratify(h: HyperplaneField, samples, tau_rank=DEFAULT_TAU_RANK):
     """Label samples by order; spot-check lower semicontinuity under jitter.
 
     Order can only jump up in a neighborhood; a drop under tiny jitter that
@@ -298,6 +308,7 @@ def _rank_band(tau_rank, rank, sigmas, witness) -> Verdict:
                    witness, odd_rank_message(rank, sigmas))
 
 
+@np.errstate(over="ignore")
 def confoliation_check(c: ConfoliationData, samples) -> Verdict:
     """mu symplectically compatible: mu + t*dalpha nondegenerate on xi for
     t > 0, and mu nondegenerate on K_xi, at every sample.
@@ -306,7 +317,8 @@ def confoliation_check(c: ConfoliationData, samples) -> Verdict:
     of xi, the kernels of dalpha on xi and the pencil coefficients are
     stacked.  A pencil with conetame.pencil_certified's exact sign
     certificate PASSes; the others take pencil_positive's exact Sturm path.
-    Samples with anything left to decide are visited in order.
+    Samples with anything left to decide are visited in order.  A value
+    that overflows to inf reaches the verdict without a numpy warning.
     """
     m = c.h.chart.dim
     A, DA, MU = (f.eval_at(samples) for f in (c.h.alpha, c.h.dalpha, c.mu))
@@ -355,13 +367,7 @@ def confoliation_check(c: ConfoliationData, samples) -> Verdict:
             K = B[i] @ Vt[i][rank:].T
             mu_K = K.T @ MU[i] @ K
             pf = pfaffian(mu_K)
-            with np.errstate(over="ignore"):
-                norm = np.linalg.norm(mu_K)
-                if norm == np.inf and np.isfinite(mu_K).all():
-                    # the sum of squares overflowed, not the entries
-                    big = np.abs(mu_K).max()
-                    norm = big * np.linalg.norm(mu_K / big)
-                scale = max(norm, 1e-30) ** (K.shape[1] // 2)
+            scale = max(_norms(mu_K[None])[0], 1e-30) ** (K.shape[1] // 2)
             if abs(pf) <= c.tau_pos * scale:
                 return Verdict(FAIL, witness=p,
                                message="mu degenerate on K_xi")
@@ -384,6 +390,7 @@ class StableHamiltonianPair:
             raise ValueError("stable Hamiltonian pairs live on odd dimension")
 
 
+@np.errstate(over="ignore")
 def shs_check(s: StableHamiltonianPair, samples, tau=1e-9,
               h=1e-4) -> Verdict:
     """lambda ^ omega^n > 0, d omega = 0, ker omega inside ker d lambda.
@@ -392,7 +399,8 @@ def shs_check(s: StableHamiltonianPair, samples, tau=1e-9,
     are one stacked SVD; the verdicts stay per sample, in order.  The
     finite-difference residuals are allowed the bands ||iota_R d lambda||
     <= max(tau, 100 h^2) and ||d omega|| <= 1000 h; ``h`` scales those
-    bands only (d_fd takes the chart's step).
+    bands only (d_fd takes the chart's step).  A value that overflows to
+    inf fails its band without a numpy warning.
     """
     n = s.chart.dim // 2
     top = s.lam.wedge(s.omega.wedge_power(n))
@@ -428,7 +436,7 @@ def shs_check(s: StableHamiltonianPair, samples, tau=1e-9,
             return Verdict(FAIL, witness=p,
                            message="lambda(R) not positive")
         resid = np.linalg.norm(dl[i] @ R)
-        if resid > max(tau, 100 * h ** 2):
+        if resid > max(tau, 100 * (h * h)):   # h ** 2 raises on overflow
             return Verdict(FAIL, witness=p,
                            message=f"iota_R d lambda = {resid:.2e}")
         dres = np.linalg.norm(dw[i])
@@ -832,11 +840,6 @@ class BLobData:
     tangent_families: dict = None  # name -> callable N point -> ambient columns
 
 
-def _psi_push(b: BLobData, pN, V, ambient_h):
-    J = fd_jacobian(b.psi, pN, ambient_h)
-    return J @ V
-
-
 def blob_pointwise_check(c: ConfoliationData, b: BLobData, samples_N,
                          tau=1e-6) -> Verdict:
     """Pointwise items of the blob definition; global items are SKIPPED."""
@@ -930,7 +933,7 @@ def blob_pointwise_check(c: ConfoliationData, b: BLobData, samples_N,
                          message=f"dim K_N = {V.shape[1]} != rank/2")
             break
         pM = np.asarray(b.psi(p), dtype=float)
-        W = _psi_push(b, p, V, hstep)
+        W = fd_jacobian(b.psi, p, hstep) @ V
         mu = c.mu.eval_at(pM)
         resid = np.linalg.norm(W.T @ mu @ W)
         if resid > tau * max(np.linalg.norm(mu), 1.0):
@@ -967,20 +970,22 @@ def transversely_exact_check(c: ConfoliationData, b: BLobData,
 
     The last residual is allowed max(tau, 100 h) for the finite-difference
     d(gamma); ``h`` scales that band only (d_fd takes the chart's step).
+    K_xi is found once per sample, the forms once on all samples' images.
     """
     if b.FU_basis is None or b.gamma is None:
         raise ValueError("transverse exactness needs FU_basis and gamma "
                          "in the blob data")
     gamma, FU_basis = b.gamma, b.FU_basis
-    dgam = d_fd(gamma)
+    PM = np.array([b.psi(p) for p in samples_N], dtype=float).reshape(
+        -1, c.h.chart.dim)
+    K_at = functools.cache(lambda i: char_dist_at(c.h, PM[i], c.tau_rank))
     sub = {}
     for name, fam in (b.tangent_families or {}).items():
         ok = Verdict(PASS)
-        for p in samples_N:
-            pM = np.asarray(b.psi(p), dtype=float)
+        for i, p in enumerate(samples_N):
             S = np.asarray(fam(p), dtype=float)
-            F = np.asarray(FU_basis(pM), dtype=float)
-            K = char_dist_at(c.h, pM, c.tau_rank)
+            F = np.asarray(FU_basis(PM[i]), dtype=float)
+            K = K_at(i)
             if K.status != PASS:
                 ok = _rank_band(c.tau_rank, K.rank, K.sigmas, p)
                 break
@@ -1000,18 +1005,17 @@ def transversely_exact_check(c: ConfoliationData, b: BLobData,
                 break
         sub[f"complement_{name}"] = ok
     ok = Verdict(PASS)
-    for p in samples_N:
-        pM = np.asarray(b.psi(p), dtype=float)
-        K = char_dist_at(c.h, pM, c.tau_rank)
+    G, OM, DG = (f.eval_at(PM) for f in (gamma, Omega_M, d_fd(gamma)))
+    for i, p in enumerate(samples_N):
+        K = K_at(i)
         if K.status != PASS:
             ok = _rank_band(c.tau_rank, K.rank, K.sigmas, p)
             break
-        gK = np.linalg.norm(gamma.eval_at(pM) @ K.subspace.basis) \
+        gK = np.linalg.norm(G[i] @ K.subspace.basis) \
             if K.subspace.dim else 0.0
-        F = np.asarray(FU_basis(pM), dtype=float)
-        W = Omega_M.eval_at(pM) - dgam.eval_at(pM)
-        rF = np.linalg.norm(F.T @ W @ F)
-        scale = max(np.linalg.norm(Omega_M.eval_at(pM)), 1.0)
+        F = np.asarray(FU_basis(PM[i]), dtype=float)
+        rF = np.linalg.norm(F.T @ (OM[i] - DG[i]) @ F)
+        scale = max(np.linalg.norm(OM[i]), 1.0)
         if gK > tau * scale or rF > max(tau, 100 * h) * scale:
             ok = Verdict(FAIL, witness=p,
                          margins={"gamma_on_K": gK, "residual_FU": rF},

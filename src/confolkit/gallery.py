@@ -595,10 +595,8 @@ def _build_branched_cover(k=2, eps=1.0, seed=0):
         points = np.concatenate([bulk, small_r])
         bad = []
         for sv in (0.25, 0.5, 1.0):
-            hs = fam.hyperplane_at(sv)
-            for p in points:
-                if order_at(hs, p, h1.tau_rank).k != 1:
-                    bad.append((sv, p))
+            res = order_at(fam.hyperplane_at(sv), points, h1.tau_rank)
+            bad += [(sv, p) for p, r in zip(points, res) if r.k != 1]
         return _bool_verdict(not bad, {"checked": 3 * len(points)},
                              "pullback family is contact for s in (0, 1]")
 

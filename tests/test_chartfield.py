@@ -228,9 +228,16 @@ def _edge_points(rng, n, h):
     return P
 
 
+def _squeeze(q):
+    """A map of BOXED into itself that keeps a finite-difference step away
+    from the x and y edges: one point to one point."""
+    return np.array([1.25 + 0.5 * (q[0] - 1.25), 0.5 * q[1], q[2] + 0.5 * q[1]])
+
+
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1))
 def test_batch_rows_equal_single_points(seed):
+    # row i of an N-row batch against the one-row batch of point i
     rng = np.random.default_rng(seed)
     alpha = compile_table(BOXED, _random_table(rng, 1), 1)()
     beta = compile_table(BOXED, _random_table(rng, 2), 2)()
@@ -238,16 +245,23 @@ def test_batch_rows_equal_single_points(seed):
     fields = {"alpha": alpha, "beta": beta, "alpha^beta": alpha.wedge(beta),
               "alpha^alpha": alpha.wedge(alpha),
               "beta + 2 alpha^alpha": beta + alpha.wedge(alpha).scale(2.0),
-              "d alpha": d_fd(alpha), "d beta": d_fd(beta)}
+              "d alpha": d_fd(alpha), "d beta": d_fd(beta),
+              "pullback beta": pullback(beta, _squeeze, BOXED),
+              "pullback of pullback alpha": pullback(
+                  pullback(alpha, _squeeze, BOXED), _squeeze, BOXED)}
     for name, f in fields.items():
-        batch, comps = f.eval_at(P), f.components(P)
-        assert batch.shape == (len(P),) + (3,) * f.degree, name
-        for i, p in enumerate(P):
-            np.testing.assert_allclose(batch[i], f.eval_at(p), rtol=1e-12,
+        # a pullback finite-differences its map at every point: six of them
+        Q = P[:6] if name.startswith("pullback") else P
+        batch, comps = f.eval_at(Q), f.components(Q)
+        assert batch.shape == (len(Q),) + (3,) * f.degree, name
+        for i, p in enumerate(Q):
+            one = f.eval_at(Q[i:i + 1])
+            assert one.shape == (1,) + (3,) * f.degree, name
+            np.testing.assert_allclose(batch[i], one[0], rtol=1e-12,
                                        atol=0, err_msg=name)
-            one = f.components(p)
-            assert set(one) == set(comps), name
-            for key, v in one.items():
+            point = f.components(p)     # a point is a one-row batch
+            assert set(point) == set(comps), name
+            for key, v in point.items():
                 np.testing.assert_allclose(comps[key][i], v, rtol=1e-12,
                                            atol=0, err_msg=name)
 

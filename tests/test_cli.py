@@ -1,17 +1,21 @@
 """Tests for the .cfl language: lexer/parser diagnostics, print round-trip,
 the runner's exit-code contract, and report determinism."""
 
+import contextlib
+import io
 import json
 import os
 import random
 import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.optimize
+from hypothesis import given, note, settings, strategies as st
 
 from confolkit import cli, gallery
 from confolkit.approx import DeformationFamily
@@ -403,6 +407,115 @@ def test_fuzz_mutated_documents():
 
 
 # ---------------------------------------------------------------------------
+# document-level fuzzing: a well-formed document ends in verdicts or in a
+# line:col diagnostic
+# ---------------------------------------------------------------------------
+
+_FUZZ_BOXES = ("[0, 1]", "[0.5, 2]", "[1, 1.000001]",
+               "[0, 1e-300]", "[0, 1e200]", "[1e300, 1.5e300]",
+               "[-4.4e307, 4.4e307]", "[0, 8.8e307]", "[-8e307, 8e307]",
+               "[-1e308, 1e308]", "[0, 1.5e308]")
+# fractional powers and poles inside the default box; in a family's
+# parameter, powers, poles and a fractional power of it
+_FUZZ_ATOMS = ("x", "y", "z", "x * y", "z^2", "x^(1/2)", "x^(3/2)",
+               "y^(-1/3)", "1/x", "1/(x - 1/3)", "(y + 1/2)^(-2)")
+_FUZZ_PARAM_ATOMS = ("s", "s", "s^2", "s * x", "1/s", "x / (s + 1)",
+                     "s^(1/2)")
+_FUZZ_EXPONENTS = (-400, -320, -300, -155, 155, 300, 308, 309, 400)
+_FUZZ_FLAGS = (("--samples", "1"), ("--samples", "100"),
+               ("--seed", "7"), ("--tol-rank", "1e-300"),
+               ("--tol-pos", "1e300"), ("--fd-step", "1e300"),
+               ("--samples", "0"), ("--tol-rank", "nan"),
+               ("--tol-pos", "1e400"), ("--fd-step", "-1"),
+               ("--seed", "-2"))
+_FUZZ_GALLERY = ("openbook-solid-torus delta={f}",
+                 "openbook-s3-binding delta={f}", "branched-cover-r3 eps={f}",
+                 "r5-cubic s_probe={f}", "r5-flat-negative s_probe={f}",
+                 "bertelson-meigniez-r5 lam_scale={f}", "mnw-torus n={i}",
+                 "bourgeois-abstract n={i}", "mori-formal seed={i}")
+_FUZZ_FLOATS = ("0", "-1", "1e-300", "1e300", "1e308", "-1e308", "1e400",
+                "2.5")
+
+
+def _fuzz_scalar(rng, param=False):
+    """A sum of up to three products of up to two factors."""
+    atoms = _FUZZ_ATOMS + (_FUZZ_PARAM_ATOMS if param else ())
+
+    def factor():
+        if rng.random() < 0.25:
+            k = rng.choice(_FUZZ_EXPONENTS + (rng.randint(-400, 400),))
+            return f"10^({k})"
+        return rng.choice(atoms + ("3/7", "2.5", "1e-3"))
+    return " + ".join(" * ".join(f"({factor()})"
+                                 for _ in range(rng.randint(1, 2)))
+                      for _ in range(rng.randint(1, 3)))
+
+
+def _fuzz_gallery(rng):
+    return "gallery " + rng.choice(_FUZZ_GALLERY).format(
+        f=rng.choice(_FUZZ_FLOATS), i=rng.randint(-1, 3))
+
+
+def _fuzz_document(rng):
+    """A check document on a box of any width, sometimes with a gallery
+    directive after it, or a gallery directive alone."""
+    if rng.random() < 0.15:
+        return _fuzz_gallery(rng) + "\n"
+    kind = rng.choice(("confoliation", "shs", "approx"))
+    # an approx family on five coordinates with poles can spend seconds in
+    # sympy's Laurent split, so approx documents keep three
+    names = ("x", "y", "z") if kind == "approx" else rng.choice(
+        (("x", "y", "z"),) * 2 + (("x", "y", "z", "u", "v"),
+                                  ("x", "y", "z", "u")))
+    coords = " ".join(n + (rng.choice(_FUZZ_BOXES) if rng.random() < 0.25
+                           else "") + rng.choice(("", "", "*"))
+                      for n in names)
+    param = kind == "approx"
+    a = f"dz + ({_fuzz_scalar(rng, param)}) * dy"
+    if param:
+        a += f" + s * ({_fuzz_scalar(rng)}) * dy"
+    if rng.random() < 0.5:
+        a += f" + ({_fuzz_scalar(rng, param)}) * dx"
+    w = "dx ^ dy"
+    if rng.random() < 0.5:
+        w += f" + ({_fuzz_scalar(rng)}) * dy ^ dz"
+    lines = [f"chart {coords}", *(["param s"] if param else []),
+             f"form a = {a}", f"form W = {w}"]
+    if param:
+        lines.append(f"extend mu on stratum {rng.randint(0, 1)} = dx ^ dy")
+    lines.append(f"check {kind} a W")
+    if rng.random() < 0.2:
+        lines.append(_fuzz_gallery(rng))
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_fuzz_well_formed_documents_end_in_verdicts_or_diagnostics(seed):
+    # literals up to 10^(+-400), fractional powers, poles, parameters in
+    # denominators, wide and narrow boxes, out-of-range flags and gallery
+    # values; run in process, where a numpy RuntimeWarning is an error too
+    rng = random.Random(seed)
+    text = _fuzz_document(rng)
+    flags = rng.choice(_FUZZ_FLAGS) if rng.random() < 0.3 else ()
+    note(f"flags {flags}\n{text}")
+    with tempfile.TemporaryDirectory() as tmp:
+        doc = Path(tmp) / "doc.cfl"
+        doc.write_text(text)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([str(doc), *flags])
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in out + err
+    if code == 1:
+        assert re.search(r"^\[\d+\] .*: FAIL$", out, re.M), out
+    if code == 3:
+        assert re.fullmatch(r"confolkit: (usage error: .*|.*:\d+:\d+: .*)\n",
+                            err), err
+
+
+# ---------------------------------------------------------------------------
 # running documents
 # ---------------------------------------------------------------------------
 
@@ -566,6 +679,8 @@ _APPROX_DOC = ("chart x y z\nparam s\nform a = dz + {} * dy\n"
                "check approx a W\n")
 _CHECK_DOC = ("chart x y z\nform a = dz + {} * dy\nform W = dx ^ dy\n"
               "check {} a W\n")
+_WIDE_DOC = ("chart {}\nform a = dz + x * dy\nform W = dx ^ dy\n"
+             "check confoliation a W\n")
 
 
 @pytest.mark.parametrize("text, where", [
@@ -576,9 +691,19 @@ _CHECK_DOC = ("chart x y z\nform a = dz + {} * dy\nform W = dx ^ dy\n"
     (_CHECK_DOC.format("10^400 * x", "confoliation"),
      "4:20: coefficient of dy holds a number too large for a float"),
     (_CHECK_DOC.format("10^400 * x", "shs"),
-     "4:11: coefficient of dy holds a number too large for a float")],
+     "4:11: coefficient of dy holds a number too large for a float"),
+    (_APPROX_DOC.format("(10^(-320) * s * x + s * x * y / (x - 1/3))"),
+     "6:1: check approx a W: a number in the check is too large for a "
+     "float"),
+    (_WIDE_DOC.format("x[-1e308, 1e308] y z"),
+     "1:1: chart box is too wide for a float"),
+    (_WIDE_DOC.format("x[0, 1.5e308] y[0, 1.5e308] z"),
+     "1:1: chart box is too wide for a float"),
+    (_WIDE_DOC.format("x[-8e307, 8e307] y[-8e307, 8e307] z"),
+     "1:1: chart box is too wide for a float")],
     ids=["fractional-power", "rational-in-s", "huge-confoliation",
-         "huge-shs"])
+         "huge-shs", "derived-number", "infinite-width",
+         "overflowing-midpoints", "overflowing-diameter"])
 def test_nonpolynomial_family_or_huge_number_is_a_diagnostic(tmp_path, text,
                                                              where):
     doc = tmp_path / "doc.cfl"
@@ -587,6 +712,26 @@ def test_nonpolynomial_family_or_huge_number_is_a_diagnostic(tmp_path, text,
     assert r.returncode == 3
     assert "Traceback" not in r.stderr
     assert f"{doc}:{where}" in r.stderr
+
+
+def test_finite_coefficient_above_1e154_is_not_called_infinite(tmp_path):
+    # alpha's entries reach 1e300: the square of its norm overflows, the
+    # norm does not
+    doc = tmp_path / "doc.cfl"
+    doc.write_text(_CHECK_DOC.format("10^300 * x", "confoliation"))
+    r = _run_cli(doc)
+    assert (r.returncode, r.stderr) == (0, "")
+    assert "check confoliation a W: PASS" in r.stdout
+
+
+def test_simplex_overflowing_a_wide_box_ends_in_verdicts():
+    # the stratum search's expansions overflow to nan near the float range;
+    # such a point is no candidate (run in process: no numpy warning either)
+    rep = run(parse("chart x[-4.4e307, 4.4e307] y z\nparam s\n"
+                    "form a = dz + (3/7 * x + x * y + y) * dy + s * x * y * dy\n"
+                    "form W = dx ^ dy\nextend mu on stratum 0 = dx ^ dy\n"
+                    "check approx a W\n"))
+    assert [e["status"] for e in rep.entries] == [FAIL]
 
 
 def test_unlocatable_stratum_gives_undetermined_exit_2():
