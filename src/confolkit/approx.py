@@ -6,10 +6,12 @@ family's top non-vanishing wedge collapses at some rate s^e; this module
 extracts the rate, matches a conformal factor against a declared target, and
 tests bivariate symplectic compatibility of the stratum two-forms.
 
-``limit_inputs`` is the one place a stratum's limit inputs are resolved: its
-two-form mu (compiled from ``mu_table`` once and kept on the StratumData),
-the family zeta_s whose rate is measured, and the target eta (from
-``stratum_eta``, which the gallery's numeric cross-check reads alone).
+``approx_verdict`` resolves each non-contact stratum's limit inputs in its
+own loop over the strata: the two-form mu (compiled from ``mu_table`` once
+and kept on the StratumData), the family zeta_s whose rate is measured, and
+the target eta (from ``stratum_eta``, which the gallery's numeric
+cross-check reads alone).  ``conformal_limit`` analyzes one stratum, given a
+table or a callable, and reports it under label 0.
 
 A symbolic family is one index-keyed coefficient table in the chart
 coordinates and the parameter (the table helpers live in chartfield and are
@@ -41,7 +43,7 @@ from .grassmann import laurent
 
 __all__ = [
     "DeformationFamily", "PartitionedForm", "StratumData", "StratumLimit",
-    "ConformalLimitReport", "base_table", "limit_inputs", "stratum_eta",
+    "ConformalLimitReport", "base_table", "stratum_eta",
     "conformal_limit", "compat_check", "approx_verdict",
     "table_d", "table_wedge", "table_wedge_power", "table_contract",
     "table_to_field",
@@ -148,9 +150,6 @@ class PartitionedForm:
 
     strata: dict = field(default_factory=dict)
 
-    def labels(self):
-        return list(self.strata)
-
 
 def _beta_k(h: HyperplaneField, k):
     """beta ^ dbeta^k of a hyperplane field."""
@@ -169,29 +168,6 @@ def _stratum_mu(chart, sd: StratumData):
     if sd.mu is None and sd.mu_table is not None:
         sd.mu = table_to_field(chart, sd.mu_table, 2)
     return sd.mu
-
-
-def limit_inputs(fam: DeformationFamily, pf: PartitionedForm):
-    """Stratum label -> (order, samples, zeta, eta, mu) on every non-contact
-    stratum (2k+3 <= dim), in partition order.
-
-    zeta is ``zeta_table``, else the exact table of the family's own top
-    form alpha_s ^ dalpha_s^(k+1).  eta is ``eta_table``, else
-    beta ^ dbeta^k ^ mu.  mu is compiled from ``mu_table`` on
-    first use and kept on the StratumData; without either, mu is None and so
-    is a default eta.
-    """
-    chart = fam.chart
-    out = {}
-    for lab, sd in pf.strata.items():
-        k = sd.order
-        if 2 * k + 3 > chart.dim:
-            continue
-        zeta = (sd.zeta_table if sd.zeta_table is not None
-                else table_top(chart, fam.table, k))
-        out[lab] = (k, sd.samples, zeta, stratum_eta(fam, sd),
-                    _stratum_mu(chart, sd))
-    return out
 
 
 def stratum_eta(fam: DeformationFamily, sd: StratumData):
@@ -282,39 +258,27 @@ class ConformalLimitReport:
     verdict: Verdict = None
 
 
+_J_RANGE = (4, 16)
+
+
 def conformal_limit(zeta, eta, samples, chart=None, param="s", order=None,
-                    j_range=(4, 16), tau=1e-9, tau_num=1e-3):
-    """Leading exponent and conformal factor of a family against a target.
+                    tau=1e-9, tau_num=1e-3):
+    """Leading exponent and conformal factor of one stratum's family against
+    a target, as a one-entry report under label 0.
 
-    Single-stratum inputs give a one-entry report; dicts keyed by stratum
-    label are analyzed entry-wise (``eta``/``samples`` then index the same
-    keys).  Symbolic tables take the exact expansion route; callables are
-    measured on the geometric ladder s_j = 2^-j, j in ``j_range``.
+    A symbolic table takes the exact expansion route; a callable
+    s -> FormFieldNum is measured on the geometric ladder s_j = 2^-j, j in
+    ``_J_RANGE``.
     """
-    if not isinstance(zeta, dict) or (zeta and not isinstance(
-            next(iter(zeta)), (str, int))):
-        zeta, eta, samples = {0: zeta}, {0: eta}, {0: samples}
-        order = {0: order}
-    elif not isinstance(order, dict):
-        order = {lab: order for lab in zeta}
-    rep = ConformalLimitReport()
-    for lab, zs in zeta.items():
-        rep.strata[lab] = _limit_one(lab, order.get(lab), zs, eta[lab],
-                                     samples[lab], chart, param, j_range,
-                                     tau, tau_num)
-    rep.status = aggregate(rep.strata)
-    return rep
-
-
-def _limit_one(label, order, zeta, eta, samples, chart, param, j_range,
-               tau, tau_num):
     if isinstance(zeta, dict):
-        return _limit_symbolic(label, order, zeta, eta, samples, chart,
-                               param, tau)
-    return _limit_numeric(label, order, zeta, eta, samples, j_range, tau_num)
+        lim = _limit_symbolic(0, order, zeta, eta, samples, chart, param, tau)
+    else:
+        lim = _limit_numeric(0, order, zeta, eta, samples, tau_num)
+    return ConformalLimitReport({0: lim}, status=lim.status)
 
 
-def _limit_symbolic(label, order, zeta, eta, samples, chart, param, tau):
+def _limit_symbolic(label, order, zeta, eta, samples, chart, param,
+                    tau=1e-9):
     if chart is None:
         raise ValueError("symbolic path needs the chart")
     s = sp.Symbol(param) if isinstance(param, str) else param
@@ -374,8 +338,8 @@ def _factor_fit(lead: FormFieldNum, eta, samples, tau, spread_tol, scale=1.0):
     return None, ratios, resid, coeff
 
 
-def _limit_numeric(label, order, zeta, eta, samples, j_range, tau_num):
-    js = np.arange(j_range[0], j_range[1] + 1)
+def _limit_numeric(label, order, zeta, eta, samples, tau_num):
+    js = np.arange(_J_RANGE[0], _J_RANGE[1] + 1)
     svals = 2.0 ** (-js)
     slopes, r2s = [], []
     fields = [zeta(float(s)) for s in svals]
@@ -586,31 +550,29 @@ def approx_verdict(fam: DeformationFamily, pf: PartitionedForm, samples=None,
     sub["item2"] = Verdict(SKIPPED, message="C^0 cone convergence applies "
                            "only to k=0 families; this family is smooth")
 
-    # per-stratum items (a), (b), (c)
-    inputs = limit_inputs(fam, pf)
-    a_sub, lim = {}, {}
-    for lab in pf.strata:
-        if lab not in inputs:
+    # per-stratum items (a) and (b) on every non-contact stratum
+    # (2k+3 <= dim): zeta is ``zeta_table``, else the exact table of the
+    # family's own top form alpha_s ^ dalpha_s^(k+1)
+    a_sub, rep = {}, ConformalLimitReport()
+    for lab, sd in pf.strata.items():
+        k = sd.order
+        if 2 * k + 3 > chart.dim:
             a_sub[lab] = Verdict(PASS, message="contact stratum, no mu needed")
             continue
-        k, samples_i, _, _, mu = inputs[lab]
+        mu = _stratum_mu(chart, sd)
         if mu is None:
             a_sub[lab] = Verdict(FAIL, message=f"stratum {lab} missing mu")
             continue
         anchor = _beta_k(fam.base.h, k).wedge(mu)
-        low = min(_field_norms(anchor, samples_i).tolist())
-        scale = max(_field_norms(fam.base.h.alpha, samples_i).tolist())
+        low = min(_field_norms(anchor, sd.samples).tolist())
+        scale = max(_field_norms(fam.base.h.alpha, sd.samples).tolist())
         a_sub[lab] = Verdict(PASS if low > tau * scale else FAIL,
                              {"min_norm": low}, None,
                              f"beta ^ dbeta^{k} ^ mu nonzero on stratum")
-        lim[lab] = inputs[lab]
-
-    rep = ConformalLimitReport()
-    if lim:
-        order, samp, zeta, eta = ({lab: v[i] for lab, v in lim.items()}
-                                  for i in range(4))
-        rep = conformal_limit(zeta, eta, samp, chart=chart, param=fam.param,
-                              order=order)
+        zeta = (sd.zeta_table if sd.zeta_table is not None
+                else table_top(chart, fam.table, k))
+        rep.strata[lab] = _limit_symbolic(lab, k, zeta, stratum_eta(fam, sd),
+                                          sd.samples, chart, fam.param)
     sub["item_a"] = Verdict(aggregate(a_sub), sub=a_sub,
                             message="stratum anchoring forms")
     sub["item_b"] = Verdict(aggregate(rep.strata),

@@ -272,11 +272,14 @@ def pencil_certified(C):
     """Rows of an (N, d) coefficient stack that pencil_positive PASSes on
     the open ray (orientation +1), read from the signs of the floats.
 
-    _ray_roots keeps c when |c| > 1e-12 max|c| and rationalizes it within
-    1/(2 * 10**15), so a kept |c| >= 1e-15 keeps its sign.  With every
-    coefficient finite, every kept one positive and that large, and P(1) > 0
-    as pencil_positive computes it, Descartes' rule of signs leaves the
-    exact polynomial no positive root.  Other rows are not decided here.
+    _ray_roots keeps c when |c| > 1e-12 max|c| and rationalizes it, scaled
+    so that max|c| lies in [1, 2), within 1/(2 * 10**15), so every kept c
+    keeps its sign.  With every coefficient finite, every kept one positive
+    and P(1) > 0 as pencil_positive computes it, Descartes' rule of signs
+    leaves the exact polynomial no positive root.  Other rows are not
+    decided here.  A kept |c| < 1e-15 also leaves the row undecided: that
+    floor is no longer needed for soundness and only makes the certificate
+    conservative.
     """
     absC = np.abs(C)
     cmax = absC.max(axis=1)
@@ -290,8 +293,9 @@ def pencil_certified(C):
 def _ray_roots(coeffs, closed):
     """Real roots of sum c_k t^k classified against the ray.
 
-    Coefficients are truncated (relative 1e-12), rationalized and scaled to
-    integers, so the decision is exact: each square-free factor gets a Sturm
+    Coefficients are scaled by a power of two so that the largest lies in
+    [1, 2), truncated (relative 1e-12), rationalized and scaled to integers,
+    so the decision is exact: each square-free factor gets a Sturm
     sequence over the integers, whose sign-variation counts at the exact
     dyadic points 0, +-1e-8 and a power-of-two root bound place every root,
     and bisection on those counts isolates them.  Each isolated root is then
@@ -306,6 +310,10 @@ def _ray_roots(coeffs, closed):
     cmax = np.max(np.abs(coeffs)) if len(coeffs) else 0.0
     if cmax == 0.0:
         return None, [], []
+    # scaling by a power of two is exact and puts max|c| in [1, 2), so the
+    # roots do not depend on the pencil's scale
+    shift = 1 - math.frexp(cmax)[1]
+    coeffs, cmax = np.ldexp(coeffs, shift), math.ldexp(cmax, shift)
     rat = [Fraction(c).limit_denominator(10**15)
            if abs(c) > _COEFF_TRUNC * cmax else Fraction(0) for c in coeffs]
     lcm = math.lcm(*(c.denominator for c in rat))

@@ -535,7 +535,7 @@ class Profile:
     def __post_init__(self):
         if len(self.pieces) != len(self.breaks) + 1:
             raise ValueError("a profile has one piece more than breakpoints")
-        if any(a >= b for a, b in zip(self.breaks, self.breaks[1:])):
+        if not all(a < b for a, b in zip(self.breaks, self.breaks[1:])):
             raise ValueError("profile breakpoints must increase")
 
     @functools.cached_property
@@ -631,7 +631,6 @@ class OpenBookProfiles:
     h: Profile
     l: Profile
     delta: float
-    stages: tuple      # (delta1, a, b, delta2)
 
 
 def default_profiles(delta=1.0) -> OpenBookProfiles:
@@ -645,7 +644,7 @@ def default_profiles(delta=1.0) -> OpenBookProfiles:
     l = Profile((d1, a, b, d2),
                 ((0,), Hermite(d1, a, 0, 0, a / 2, half), (0, half),
                  Hermite(b, d2, b / 2, half, d2, 1), (0, 1)))
-    return OpenBookProfiles(f, g, h, l, delta, (d1, a, b, d2))
+    return OpenBookProfiles(f, g, h, l, delta)
 
 
 def _collar_pieces(pr: OpenBookProfiles):
@@ -806,12 +805,6 @@ def open_book_samples(pair: OpenBookPair, count=40, seed=0):
                 for a, b in pair.chart.box]
         p[pair.r_index] = rng.uniform(lo, hi)
     return out
-
-
-def open_book_shs_residual(pair: OpenBookPair):
-    """max |-h f' - l' g'| over (0, delta], from the exact profile pieces:
-    the stable Hamiltonian obstruction for the collar pair."""
-    return _shs_residual(pair.profiles)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,12 @@ fixed seed; ``GalleryEntry.verify`` runs every check and reports any row
 that disagrees with the expected table.  Rows that read one analysis (the
 approximation bundle of a family entry, the pointwise items of
 product-blob) share it: it is computed on the first run of a built entry and
-reused after, so recomputing means building the entry again.
+reused after, so recomputing means building the entry again.  The five
+deformation-family entries (r5-cubic, r5-flat-negative,
+bertelson-meigniez-r5, mnw-torus, openbook-deformation) come from one
+builder, ``_family_entry``, which supplies their ``approx`` and
+``exponents`` rows and turns a lookup that finds nothing in the report into
+a FAIL row.
 """
 
 import functools
@@ -25,7 +30,7 @@ from .confolcheck import (
     BLobData,
     blob_pointwise_check, confoliation_check, default_profiles,
     hermite_segment,
-    open_book_confoliation, open_book_samples, open_book_shs_residual,
+    open_book_confoliation, open_book_samples,
     order_at, profile_constraints, shs_check, transversely_exact_check)
 from .approx import (
     DeformationFamily, PartitionedForm, StratumData, _family_top,
@@ -42,10 +47,12 @@ class GalleryEntry:
     """A named example with its expected check table.
 
     ``checks`` maps each row label to a zero-argument callable returning a
-    Verdict (or a bare status string); ``expected`` fixes the status every row
-    must reproduce.  ``structures`` exposes the built objects for reuse.
+    Verdict; ``expected`` fixes the status every row must reproduce, and the
+    row order.  ``structures`` exposes the built objects for reuse; a
+    builder's seed is one of the ``params``.
     Rows reading one shared analysis compute it once per built entry: a
-    second run reuses it, and a fresh ``build`` recomputes it.
+    second run reuses it, and a fresh ``build`` recomputes it.  The
+    deformation-family entries are made by ``_family_entry``.
     """
 
     name: str
@@ -54,18 +61,13 @@ class GalleryEntry:
     expected: dict
     checks: dict = field(default_factory=dict, repr=False)
     notes: tuple = ()
-    seed: int = 0
 
     def run(self):
         """Label -> status of every row, in table order."""
         return {label: v.status for label, v in self.run_verdicts().items()}
 
     def run_verdicts(self):
-        out = {}
-        for label in self.expected:
-            res = self.checks[label]()
-            out[label] = res if isinstance(res, Verdict) else Verdict(res)
-        return out
+        return {label: self.checks[label]() for label in self.expected}
 
     def verify(self):
         got = self.run()
@@ -144,10 +146,8 @@ def _exponent_agreement(fam, pf, rep=None):
             sub[lab] = Verdict(FAIL, message=f"stratum {lab}: no symbolic "
                                "limit in item (b)")
             continue
-        ln = conformal_limit({lab: _family_top(fam, sd.order)},
-                             {lab: stratum_eta(fam, sd)}, {lab: sd.samples},
-                             chart=fam.chart, param=fam.param,
-                             order={lab: sd.order}).strata[lab]
+        ln = conformal_limit(_family_top(fam, sd.order), stratum_eta(fam, sd),
+                             sd.samples, order=sd.order).strata[0]
         ok = (ls.status == PASS and ln.status == PASS
               and ls.exponent == ln.exponent)
         sub[lab] = _bool_verdict(ok, {"symbolic": ls.exponent,
@@ -175,6 +175,41 @@ def _factor_message(exponent, coeff):
     if coeff == 1.0:
         return f"F_s = 1/{p}"
     return f"F_s = 1/({coeff:g}{p})"
+
+
+def _family_entry(name, params, fam, pf, expected, reads, checks=None,
+                  notes=(), structures=None, **approx_kw):
+    """A deformation-family entry.
+
+    Its ``approx_verdict(fam, pf, **approx_kw)`` report is computed at most
+    once per built entry, by the first row that reads it.  The builder
+    supplies the ``approx`` row (the report's verdict) and the ``exponents``
+    row; ``reads`` maps the entry's other report rows to callables of the
+    report, and ``checks`` its rows that do not read it.  ``expected`` fixes
+    the table and its order.  A ``reads`` row whose lookup finds no stratum
+    or sub-verdict (an early FAIL has neither) FAILs naming it.
+    """
+    report = functools.cache(lambda: approx_verdict(fam, pf, **approx_kw))
+
+    def row(read):
+        def check():
+            rep = report()
+            try:
+                return read(rep)
+            except KeyError as exc:
+                return Verdict(FAIL, message=f"stratum {exc.args[0]}: no "
+                               "symbolic limit in item (b)")
+        return check
+
+    return GalleryEntry(
+        name=name, params=params,
+        structures={"family": fam, "partition": pf, **(structures or {})},
+        expected=expected,
+        checks={"approx": lambda: report().verdict,
+                "exponents": lambda: _exponent_agreement(fam, pf, report()),
+                **(checks or {}),
+                **{lab: row(read) for lab, read in reads.items()}},
+        notes=notes)
 
 
 # ---------------------------------------------------------------------------
@@ -478,20 +513,13 @@ def _build_r5_cubic(s_probe=0.25, seed=0):
         "C0": StratumData(order=2, samples=generic),
     })
 
-    report = functools.cache(
-        lambda: approx_verdict(fam, pf, s_probe=s_probe, seed=seed))
-
-    return GalleryEntry(
-        name="r5-cubic", params={"s_probe": s_probe, "seed": seed},
-        structures={"family": fam, "partition": pf},
-        expected={"approx": PASS, "factor": PASS, "exponents": PASS},
-        checks={"approx": lambda: report().verdict,
-                "factor": lambda: _factor_row(report().strata["C1"], 2.0,
-                                              2.0e-9),
-                "exponents": lambda: _exponent_agreement(fam, pf, report())},
+    return _family_entry(
+        "r5-cubic", {"s_probe": s_probe, "seed": seed}, fam, pf,
+        {"approx": PASS, "factor": PASS, "exponents": PASS},
+        {"factor": lambda rep: _factor_row(rep.strata["C1"], 2.0, 2.0e-9)},
         notes=("the top form is (6*x1^2 + 2*s) vol, so the degenerate locus "
                "x1 = 0 carries conformal factor 1/(2s)",),
-        seed=seed)
+        s_probe=s_probe, seed=seed)
 
 
 @register("r5-flat-negative")
@@ -508,12 +536,7 @@ def _build_r5_flat(s_probe=0.25, seed=0):
                                  mu_table={("x1", "y1"): 1,
                                            ("x2", "y2"): 1})})
 
-    report = functools.cache(
-        lambda: approx_verdict(fam, pf, samples=generic, s_probe=s_probe,
-                               seed=seed))
-
-    def failing_item_check():
-        rep = report()
+    def failing_item(rep):
         sub = rep.verdict.sub
         ok = (rep.verdict.status == FAIL
               and sub["item_c"].status == FAIL
@@ -522,17 +545,14 @@ def _build_r5_flat(s_probe=0.25, seed=0):
               and "item (c)" in rep.verdict.message)
         return _bool_verdict(ok, {}, "only item (c) fails, with a witness")
 
-    return GalleryEntry(
-        name="r5-flat-negative", params={"s_probe": s_probe, "seed": seed},
-        structures={"family": fam, "partition": pf},
-        expected={"approx": FAIL, "failing-item": PASS, "exponents": PASS},
-        checks={"approx": lambda: report().verdict,
-                "failing-item": failing_item_check,
-                "exponents": lambda: _exponent_agreement(fam, pf, report())},
+    return _family_entry(
+        "r5-flat-negative", {"s_probe": s_probe, "seed": seed}, fam, pf,
+        {"approx": FAIL, "failing-item": PASS, "exponents": PASS},
+        {"failing-item": failing_item},
         notes=("the proposed cone direction dx1^dx2 + dy1^dy2 pairs "
                "negatively with the volume: the compatibility polynomial has "
                "constant term -2",),
-        seed=seed)
+        samples=generic, s_probe=s_probe, seed=seed)
 
 
 @register("bertelson-meigniez-r5")
@@ -550,22 +570,15 @@ def _build_bm(lam_scale=1.0, seed=0):
                                  mu_table={("x1", "y1"): c,
                                            ("x2", "y2"): c})})
 
-    report = functools.cache(
-        lambda: approx_verdict(fam, pf, samples=generic, seed=seed))
-
-    return GalleryEntry(
-        name="bertelson-meigniez-r5",
-        params={"lam_scale": lam_scale, "seed": seed},
-        structures={"family": fam, "partition": pf},
-        expected={"approx": PASS, "factor": PASS, "exponents": PASS},
-        checks={"approx": lambda: report().verdict,
-                "factor": lambda: _factor_row(report().strata["foliation"],
-                                              1.0, 1e-9),
-                "exponents": lambda: _exponent_agreement(fam, pf, report())},
+    return _family_entry(
+        "bertelson-meigniez-r5", {"lam_scale": lam_scale, "seed": seed},
+        fam, pf, {"approx": PASS, "factor": PASS, "exponents": PASS},
+        {"factor": lambda rep: _factor_row(rep.strata["foliation"], 1.0,
+                                           1e-9)},
         notes=("linear deformation of the closed-kernel foliation dz = 0 by "
                "the primitive x1 dy1 + x2 dy2; mu is its differential and "
                "the conformal factor is 1/s",),
-        seed=seed)
+        samples=generic, seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -601,9 +614,8 @@ def _build_branched_cover(k=2, eps=1.0, seed=0):
                              "pullback family is contact for s in (0, 1]")
 
     def conformal_limit_check():
-        rep_s = conformal_limit({"binding": zt}, {"binding": et},
-                                {"binding": small_r}, chart=chart, param="s",
-                                order={"binding": 1})
+        ls = conformal_limit(zt, et, small_r, chart=chart, param="s",
+                             order=1).strata[0]
         base_a = fam.alpha_of(0.0)
         base_top = base_a.wedge(d_fd(base_a))
 
@@ -612,10 +624,7 @@ def _build_branched_cover(k=2, eps=1.0, seed=0):
             return a.wedge(d_fd(a)) - base_top
 
         eta_num = table_to_field(chart, et)
-        rep_n = conformal_limit({"binding": zfun}, {"binding": eta_num},
-                                {"binding": small_r}, chart=chart, param="s",
-                                order={"binding": 1})
-        ls, ln = rep_s.strata["binding"], rep_n.strata["binding"]
+        ln = conformal_limit(zfun, eta_num, small_r, order=1).strata[0]
         ok = (ls.status == PASS and ln.status == PASS
               and ls.exponent == ln.exponent == 1
               and ls.factor_coeff is not None
@@ -636,8 +645,7 @@ def _build_branched_cover(k=2, eps=1.0, seed=0):
                 "conformal-limit": conformal_limit_check},
         notes=(f"local model dz + r^2 dphi pulled back under phi = "
                f"{k}*theta, then pushed by s*eps*r^2 dtheta; the base is "
-               "already contact away from the branch axis",),
-        seed=seed)
+               "already contact away from the branch axis",))
 
 
 # ---------------------------------------------------------------------------
@@ -683,28 +691,21 @@ def _build_mnw(n=1, k=1, seed=0):
     pf = PartitionedForm({
         "pages": StratumData(order=0, samples=samples, mu_table=mu_tab)})
 
-    report = functools.cache(
-        lambda: approx_verdict(fam, pf, samples=samples, seed=seed))
-
     def identity_check():
         res = mnw_volume_identity(n, k=k)
         return _bool_verdict(res["derived"] and not res["quoted_variant"],
                              {}, res["note"])
 
-    return GalleryEntry(
-        name="mnw-torus", params={"n": n, "k": k, "seed": seed},
-        structures={"family": fam, "partition": pf},
-        expected={"approx": PASS, "factor": PASS, "volume-identity": PASS,
-                  "exponents": PASS},
-        checks={"approx": lambda: report().verdict,
-                "factor": lambda: _factor_row(report().strata["pages"], 1.0,
-                                              1e-9),
-                "volume-identity": identity_check,
-                "exponents": lambda: _exponent_agreement(fam, pf, report())},
+    return _family_entry(
+        "mnw-torus", {"n": n, "k": k, "seed": seed}, fam, pf,
+        {"approx": PASS, "factor": PASS, "volume-identity": PASS,
+         "exponents": PASS},
+        {"factor": lambda rep: _factor_row(rep.strata["pages"], 1.0, 1e-9)},
+        {"volume-identity": identity_check},
         notes=("coherent model: alpha_pm = +-e^(sum t) dth0 + sum e^(-ti) "
                "dthi; mu uses cos(k s) so the family stays invariant under "
                "the torus action",),
-        seed=seed)
+        samples=samples, seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -759,7 +760,7 @@ def _openbook_entry(name, n, delta, seed, note):
                                                pair.chart), samples[:8])
 
     def residual():
-        res = open_book_shs_residual(pair)
+        res = pair.profile_verdict.margins["shs_residual"]
         return _bool_verdict(res < 1e-9, {"residual": res},
                              "stable Hamiltonian residual -h f' - l' g'")
 
@@ -778,7 +779,7 @@ def _openbook_entry(name, n, delta, seed, note):
                 "confoliation": confoliation, "cotamed-J": cotamed,
                 "shs": shs, "shs-residual": residual,
                 "taming-identity": taming},
-        notes=(note,), seed=seed)
+        notes=(note,))
 
 
 @register("openbook-solid-torus")
@@ -818,8 +819,7 @@ def _build_ob_deformation(delta=1.0, seed=0):
                      ((0,), Hermite(d1, a, 0, 0, a / 2, half), (0, half),
                       Hermite(bb, delta, bb / 2, half, 0.45 * delta, 0.25)))
     f0, g0, h = base.f.expr, base.g.expr, base.h.expr
-    profiles = OpenBookProfiles(base.f, base.g, base.h, l_prof, delta,
-                                (d1, a, bb, d2))
+    profiles = OpenBookProfiles(base.f, base.g, base.h, l_prof, delta)
 
     chart = Chart(("x", "r", "theta"),
                   ((0.0, 2 * math.pi), (0.02 * delta, 1.0 * delta),
@@ -855,17 +855,7 @@ def _build_ob_deformation(delta=1.0, seed=0):
             eta_table={(0, 1, 2): -sp.diff(f1, r)}),
     })
 
-    def profiles_check():
-        return profile_constraints(profiles)
-
-    report = functools.cache(lambda: approx_verdict(fam, pf, seed=seed))
-
-    def factors_check():
-        rep = report()
-        for lab in ("g0-zero", "f0-zero"):
-            if lab not in rep.strata:
-                return Verdict(FAIL, message=f"stratum {lab}: no symbolic "
-                               "limit in item (b)")
+    def factors(rep):
         g0z = rep.strata["g0-zero"]
         f0z = rep.strata["f0-zero"]
         rs = pf.strata["g0-zero"].samples[:, 1]
@@ -880,21 +870,18 @@ def _build_ob_deformation(delta=1.0, seed=0):
                  "f0_zero_coeff": f0z.factor_coeff},
             "F_s = r/s near the binding, 1/(s g_s) near the rim")
 
-    return GalleryEntry(
-        name="openbook-deformation", params={"delta": delta, "seed": seed},
-        structures={"family": fam, "partition": pf, "profiles": profiles},
-        expected={"profiles": PASS, "approx": PASS, "factors": PASS,
-                  "exponents": PASS},
-        checks={"profiles": profiles_check,
-                "approx": lambda: report().verdict,
-                "factors": factors_check,
-                "exponents": lambda: _exponent_agreement(fam, pf, report())},
+    return _family_entry(
+        "openbook-deformation", {"delta": delta, "seed": seed}, fam, pf,
+        {"profiles": PASS, "approx": PASS, "factors": PASS,
+         "exponents": PASS},
+        {"factors": factors},
+        {"profiles": lambda: profile_constraints(profiles)},
+        structures={"profiles": profiles}, seed=seed,
         notes=("the deformation turns the page foliation region into contact "
                "turbulization; strata {g0 = 0} and {f0 = 0} carry different "
                "conformal weights",
                "the literal exponential tail for l is replaced by a "
-               "monotone cubic: only l' > 0 and l < 1 enter the argument"),
-        seed=seed)
+               "monotone cubic: only l' > 0 and l < 1 enter the argument"))
 
 
 # ---------------------------------------------------------------------------
@@ -932,8 +919,7 @@ def _build_bourgeois(n=2, seed=0):
         checks={"t2-uniform": powers_check, "top-bracket": top_check,
                 "quoted-index": index_check},
         notes=("wedge power recorded independently: the displayed "
-               "multipliers correspond to power n, not the top power n+1",),
-        seed=seed)
+               "multipliers correspond to power n, not the top power n+1",))
 
 
 @register("mori-formal")
@@ -970,8 +956,7 @@ def _build_mori(seed=0):
                "drho^gamma and eta^dtheta monomials",
                "the grouped square additionally needs the 2 f0 delta A "
                "volume term, a factor 2 on the delta h^2 line, and the "
-               "cross terms sourced by the restored monomials"),
-        seed=seed)
+               "cross terms sourced by the restored monomials"))
 
 
 # ---------------------------------------------------------------------------
@@ -1041,5 +1026,4 @@ def _build_product_blob(seed=2):
                 "transversely-exact": exact_check},
         notes=("overtwisted three-dimensional factor times a cotangent "
                "circle: the sheet family is checked pointwise; the global "
-               "items are out of scope and reported as skipped",),
-        seed=seed)
+               "items are out of scope and reported as skipped",))

@@ -28,8 +28,7 @@ from confolkit.conetame import (FAIL, PASS, UNDETERMINED, SkewPair,
                                 kernel_with_tol, pencil_positive, pfaffian,
                                 taming_check)
 from confolkit.confolcheck import (SKIPPED, HyperplaneField,
-                                   open_book_confoliation,
-                                   open_book_shs_residual, order_at)
+                                   open_book_confoliation, order_at)
 from confolkit.grassmann import FormAlgebra
 
 REPO = Path(__file__).resolve().parents[1]
@@ -351,7 +350,7 @@ def test_criterion_5_constructors(capfd):
             if rows[key].status != PASS:
                 bad.append(f"openbook-solid-torus {key}: {rows[key].status}")
         pair = open_book_confoliation(1)
-        res = open_book_shs_residual(pair)
+        res = pair.profile_verdict.margins["shs_residual"]
         if not res < 1e-9:
             bad.append(f"stabilizing residual -h f' - l' g' = {res:.2e}")
         notes.append(f"solid-torus stabilizing residual {res:.2e}")

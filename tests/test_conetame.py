@@ -254,6 +254,21 @@ def test_pencil_matches_sympy_real_roots(case, closed, monkeypatch):
             assert r == pytest.approx(r_ref, rel=1e-12)
 
 
+def test_pencil_roots_do_not_depend_on_the_scale():
+    # scaling both forms by 2**k scales each Pfaffian coefficient exactly,
+    # so neither the decision nor a root may move
+    rng = np.random.default_rng(29)
+    for i in range(200):
+        n = (2, 4)[i % 2]
+        A, B = rng.standard_normal((2, n, n))
+        mu0, mu1 = A - A.T, B - B.T
+        ref = pencil_positive(SkewPair(mu0, mu1))
+        for k in (-200, -40, 40, 200):
+            v = pencil_positive(SkewPair(2.0 ** k * mu0, 2.0 ** k * mu1))
+            assert (v.status, v.roots_on_ray) == (ref.status,
+                                                  ref.roots_on_ray), (i, k)
+
+
 def test_overflowing_pencil_is_not_identically_zero():
     # Pf(1e200 J4 + t J4) overflows at every node: the interpolated
     # coefficients are not finite, which says nothing about a zero Pfaffian

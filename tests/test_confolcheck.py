@@ -40,7 +40,6 @@ from confolkit.confolcheck import (
     hermite_segment,
     open_book_confoliation,
     open_book_samples,
-    open_book_shs_residual,
     order_at,
     profile_constraints,
     rank_stratify,
@@ -464,8 +463,7 @@ def test_profile_constraints_default_pass():
 
 def test_open_book_rejects_flat_potential():
     pr = default_profiles()
-    bad = OpenBookProfiles(pr.f, pr.g, pr.h, Profile((), ((0,),)), pr.delta,
-                           pr.stages)
+    bad = OpenBookProfiles(pr.f, pr.g, pr.h, Profile((), ((0,),)), pr.delta)
     with pytest.raises(ValueError, match="degenerate slice"):
         open_book_confoliation(1, profiles=bad)
 
@@ -590,7 +588,6 @@ def test_openbook_profiles_pass_with_zero_residual(name):
     else:
         pair = entry.structures["pair"]
         v = pair.profile_verdict
-        assert open_book_shs_residual(pair) == 0.0
     assert v.status == PASS and v.margins == {"shs_residual": 0.0}
 
 
@@ -602,14 +599,14 @@ def test_profile_audit_calls_neither_diff_nor_lambdify(monkeypatch):
 
     monkeypatch.setattr(sp, "diff", forbidden)
     monkeypatch.setattr(sp, "lambdify", forbidden)
-    assert profile_constraints(pair.profiles).status == PASS
-    assert open_book_shs_residual(pair) == 0.0
+    v = profile_constraints(pair.profiles)
+    assert v.status == PASS and v.margins == {"shs_residual": 0.0}
 
 
 def test_open_book_n1_bundle():
     pair = open_book_confoliation(1)
     assert pair.profile_verdict.status == PASS
-    assert open_book_shs_residual(pair) < 1e-9
+    assert pair.profile_verdict.margins["shs_residual"] < 1e-9
     samples = open_book_samples(pair, count=25, seed=3)
     c = ConfoliationData(pair.h, pair.Omega)
     v = confoliation_check(c, samples)
@@ -666,7 +663,7 @@ def test_open_book_dalpha_is_the_exact_table_d(n, delta):
     # a point gives the same floats alone as in the batch
     assert np.array_equal(got, [pair.h.dalpha.eval_at(p) for p in samples])
     # f' and g' are exactly 0.0 off the transition piece (a, b]
-    _, a, b, _ = pair.profiles.stages
+    a, b = pair.profiles.f.breaks
     r = samples[:, pair.r_index]
     flat = (r <= a) | (r > b)
     assert flat.any() and not flat.all()

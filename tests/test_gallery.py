@@ -2,12 +2,15 @@
 deterministic per seed, and keep strict-inequality rows stable under small
 parameter jitter."""
 
+import inspect
+import math
+
 import numpy as np
 import pytest
 
 from confolkit import approx, gallery
 from confolkit.conetame import FAIL, PASS
-from confolkit.confolcheck import SKIPPED
+from confolkit.confolcheck import SKIPPED, Verdict
 
 ALL = gallery.names()
 
@@ -101,6 +104,35 @@ def test_exponents_row_fails_a_stratum_left_out_of_item_b():
     assert list(v.sub) == ["C1"]
     assert v.sub["C1"].status == FAIL
     assert "no symbolic limit" in v.sub["C1"].message
+
+
+FLOAT_PARAMS = [(name, p.name) for name in ALL for p in inspect.signature(
+    gallery._BUILDERS[name]).parameters.values()
+    if isinstance(p.default, float)]
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, 1e308,
+                                   -1e308, 0.0, 5e-324], ids=repr)
+@pytest.mark.parametrize("name, param", FLOAT_PARAMS,
+                         ids=[f"{n}-{p}" for n, p in FLOAT_PARAMS])
+def test_extreme_float_parameter_gives_verdict_rows(name, param, value):
+    # the Python API takes any float: building may refuse it, but a built
+    # entry answers every row with a verdict, never a traceback
+    try:
+        entry = gallery.build(name, **{param: value})
+    except (ValueError, OverflowError):
+        return
+    verdicts = entry.run_verdicts()
+    assert list(verdicts) == list(entry.expected)
+    assert all(isinstance(v, Verdict) for v in verdicts.values())
+
+
+def test_early_fail_report_gives_fail_rows():
+    rows = gallery.build("r5-cubic", s_probe=math.inf).run_verdicts()
+    assert {lab: v.status for lab, v in rows.items()} == {
+        "approx": FAIL, "factor": FAIL, "exponents": FAIL}
+    assert rows["factor"].message == \
+        "stratum C1: no symbolic limit in item (b)"
 
 
 def test_entries_report_margins():

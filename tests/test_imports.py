@@ -74,31 +74,36 @@ UNREACHED_BY_DESIGN = {
 }
 
 
-def _references(node):
+def _references(node, method=False):
+    """How often ``node`` names each name: as an attribute, and unless
+    ``method`` also as a bare Name."""
+    kinds = ast.Attribute if method else (ast.Name, ast.Attribute)
     return Counter(n.id if isinstance(n, ast.Name) else n.attr
-                   for n in ast.walk(node)
-                   if isinstance(n, (ast.Name, ast.Attribute)))
+                   for n in ast.walk(node) if isinstance(n, kinds))
 
 
 def _public_defs(tree):
-    """Module-level functions and methods of module-level classes, without a
-    leading underscore or a decorator other than classmethod, staticmethod
-    or property."""
+    """(def, is_method) for module-level functions and methods of
+    module-level classes, without a leading underscore or a decorator other
+    than classmethod, staticmethod or property."""
     for node in tree.body:
-        for d in node.body if isinstance(node, ast.ClassDef) else [node]:
+        method = isinstance(node, ast.ClassDef)
+        for d in node.body if method else [node]:
             if (isinstance(d, ast.FunctionDef) and not d.name.startswith("_")
                     and all(isinstance(x, ast.Name) and x.id in
                             ("classmethod", "staticmethod", "property")
                             for x in d.decorator_list)):
-                yield d
+                yield d, method
 
 
 def _unreached(trees, readme):
     """Names of public functions that no Name or Attribute outside their own
-    body, no ``__all__`` and no backticked README text names.  The parser
-    dispatches on "stmt_" + keyword, so its ``stmt_*`` methods count as
-    used."""
-    refs = sum((_references(t) for t in trees), Counter())
+    body, no ``__all__`` and no backticked README text names.  A method
+    counts only attribute references: a bare Name of its spelling is some
+    other binding, a local variable say.  The parser dispatches on
+    "stmt_" + keyword, so its ``stmt_*`` methods count as used."""
+    refs = {method: sum((_references(t, method) for t in trees), Counter())
+            for method in (False, True)}
     exported = set()
     for tree in trees:
         for node in tree.body:
@@ -109,8 +114,8 @@ def _unreached(trees, readme):
     spans = re.findall(r"```(.*?)```|`([^`]+)`", readme, flags=re.S)
     documented = {w for span in spans
                   for w in re.findall(r"\w+", "".join(span))}
-    return sorted(d.name for tree in trees for d in _public_defs(tree)
-                  if refs[d.name] == _references(d)[d.name]
+    return sorted(d.name for tree in trees for d, method in _public_defs(tree)
+                  if refs[method][d.name] == _references(d, method)[d.name]
                   and d.name not in exported | documented
                   and not d.name.startswith("stmt_"))
 
@@ -132,6 +137,7 @@ def test_unreached_function_is_reported():
                        "    @staticmethod\n"
                        "    def called(): return used()\n"
                        "    def doc(self): pass\n"
-                       "    def stmt_x(self): pass\n"),
-             ast.parse("C.called()\n")]
-    assert _unreached(trees, "call `C().doc()`") == ["loops"]
+                       "    def stmt_x(self): pass\n"
+                       "    def masked(self): pass\n"),
+             ast.parse("C.called()\nmasked = 0\n")]
+    assert _unreached(trees, "call `C().doc()`") == ["loops", "masked"]
