@@ -14,10 +14,12 @@ cross-check reads alone).  ``conformal_limit`` analyzes one stratum, given a
 table or a callable, and reports it under label 0.
 
 A symbolic family is one index-keyed coefficient table in the chart
-coordinates and the parameter (the table helpers live in chartfield and are
-re-exported here); alpha and its exact d are compiled once and each
+coordinates and the parameter; chartfield's table helpers (re-exported here
+for the benchmark's layer tracer) give its exact d and tops in grassmann's
+FormExpr algebra.  Alpha and its exact d are compiled once and each
 parameter value only binds; base_table rejects a family that is not
-polynomial in its parameter.  The exact route reads the rate off the Laurent
+polynomial in its parameter; ``family_rows`` FAILs one that is not finite
+at a point.  The exact route reads the rate off the Laurent
 split (grassmann.laurent) of alpha ^ dalpha^(k+1); the numeric route fits it
 on a ladder of parameter values with the finite-difference d, so the two
 cross-check.
@@ -44,7 +46,7 @@ from .grassmann import laurent
 __all__ = [
     "DeformationFamily", "PartitionedForm", "StratumData", "StratumLimit",
     "ConformalLimitReport", "base_table", "stratum_eta",
-    "conformal_limit", "compat_check", "approx_verdict",
+    "conformal_limit", "compat_check", "family_rows", "approx_verdict",
     "table_d", "table_wedge", "table_wedge_power", "table_contract",
     "table_to_field",
 ]
@@ -495,6 +497,23 @@ def compat_check(c: ConfoliationData, pf: PartitionedForm, tau=None) -> Verdict:
 # full analyzer bundle
 # ---------------------------------------------------------------------------
 
+def family_rows(fam: DeformationFamily, P, s_probe=0.25):
+    """_comp_rows at the points P of alpha at s = 0, ``s_probe`` and each
+    rung of item 1's ladder, and the FAIL report at the first point where
+    one is not finite (it would make every margin nan), else None."""
+    fields = [fam.base.h.alpha, fam.alpha_of(s_probe)] + [
+        fam.alpha_of(s) for s in (2.0 ** -4, 2.0 ** -8, 2.0 ** -12)]
+    comps = [_comp_rows(f, P) for f in fields]
+    finite = np.logical_and.reduce([np.isfinite(c).all(axis=1)
+                                    for c, _ in comps])
+    if finite.all():
+        return comps, None
+    rep = ConformalLimitReport(status=FAIL)
+    rep.verdict = Verdict(FAIL, {}, P[int(np.argmin(finite))],
+                          "alpha is not finite at the witness")
+    return comps, rep
+
+
 def approx_verdict(fam: DeformationFamily, pf: PartitionedForm, samples=None,
                    s_probe=0.25, seed=0, tau=1e-9) -> ConformalLimitReport:
     """Contact-approximation analysis: items 1, 2, (a), (b), (c).
@@ -510,22 +529,11 @@ def approx_verdict(fam: DeformationFamily, pf: PartitionedForm, samples=None,
     if samples is None:
         density = max(2, int(round(200 ** (1.0 / chart.dim))))
         samples = sample_prefix(chart, density, seed, 24, margin=0.05)
-    rungs = [fam.alpha_of(s) for s in (2.0 ** -4, 2.0 ** -8, 2.0 ** -12)]
+    comps, early = family_rows(fam, np.concatenate(
+        [samples, *(sd.samples for sd in pf.strata.values())]), s_probe)
+    if early is not None:
+        return early
     h_probe = fam.hyperplane_at(s_probe)
-
-    # components of the base, the probe and each rung at every point, each
-    # field evaluated once on all of them; a nan or infinite one would turn
-    # every margin below into nan
-    P = np.concatenate([samples, *(sd.samples for sd in pf.strata.values())])
-    comps = [_comp_rows(f, P)
-             for f in [fam.base.h.alpha, h_probe.alpha] + rungs]
-    finite = np.logical_and.reduce([np.isfinite(c).all(axis=1)
-                                    for c, _ in comps])
-    if not finite.all():
-        rep = ConformalLimitReport(status=FAIL)
-        rep.verdict = Verdict(FAIL, {}, P[int(np.argmin(finite))],
-                              "alpha is not finite at the witness")
-        return rep
 
     sub = {}
     sub["base"] = fam.base_consistency(samples, tau=max(tau, 1e-9))

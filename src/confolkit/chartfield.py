@@ -3,10 +3,15 @@
 A coefficient table maps strictly sorted coordinate-index tuples to sympy
 expressions in the chart coordinates (and a family's parameter).
 ``_canon_table`` is the one place that reads other key spellings (name
-tuples, a bare name for a one-form).  The exact algebra on tables stays
-symbolic; ``compile_table`` compiles a table once (the source lambdify would
-generate, without lambdify), with any parameters as trailing arguments, into
-numeric fields whose coefficients are callables on the coordinate array.
+tuples, a bare name for a one-form).  The exact algebra on tables is
+grassmann's: ``table_d``, ``table_wedge``, ``table_wedge_power``,
+``table_top`` and ``table_contract`` are ``FormExpr`` operations over an
+algebra made for each call, whose generator i is d(names[i]), and return the
+coefficients as ``sp.expand`` gives them; the names stay for the benchmark's
+layer tracer.  ``compile_table`` compiles a table once (the source lambdify
+would generate, without lambdify), with any parameters as trailing
+arguments, into numeric fields whose coefficients are callables on the
+coordinate array.
 The rest is pointwise plumbing for the verifiers: central-difference d (the
 lane that cross-checks the exact ``table_d``), finite-difference pullbacks,
 short-time RK4 flows and seeded sample grids.
@@ -40,6 +45,8 @@ from dataclasses import dataclass
 import numpy as np
 import sympy as sp
 from sympy.printing.numpy import NumPyPrinter
+
+from .grassmann import FormAlgebra, FormExpr
 
 H_FRACTION = 1e-4   # finite-difference step as a fraction of the box diameter
 
@@ -257,40 +264,29 @@ def _canon_table(chart, table):
     return out
 
 
+def _forms(chart, *tables):
+    """Tables as FormExprs over one algebra made for this call, whose
+    generator i is d(names[i]), so index keys carry over."""
+    alg = FormAlgebra()
+    for name in chart.names:
+        alg.coordinate(name)
+    return [FormExpr(alg, _canon_table(chart, t)) for t in tables]
+
+
 def table_d(chart, table):
-    """Exact exterior derivative of a coefficient table (sympy diff)."""
-    table = _canon_table(chart, table)
-    syms = chart.symbols()
-    out = {}
-    for key, e in table.items():
-        for i, x in enumerate(syms):
-            de = sp.diff(e, x)
-            if de == 0:
-                continue
-            new, s = _sort_sign((i,) + key)
-            if s == 0:
-                continue
-            out[new] = out.get(new, 0) + s * de
-    return {k: sp.expand(v) for k, v in out.items() if sp.expand(v) != 0}
+    """Exact exterior derivative of a coefficient table."""
+    form, = _forms(chart, table)
+    return dict(form.d().terms())
 
 
 def table_wedge(chart, t1, t2):
-    t1, t2 = _canon_table(chart, t1), _canon_table(chart, t2)
-    out = {}
-    for k1, e1 in t1.items():
-        for k2, e2 in t2.items():
-            key, s = _sort_sign(k1 + k2)
-            if s == 0:
-                continue
-            out[key] = out.get(key, 0) + s * e1 * e2
-    return {k: v for k, v in out.items() if sp.expand(v) != 0}
+    f1, f2 = _forms(chart, t1, t2)
+    return dict(f1.wedge(f2).terms())
 
 
 def table_wedge_power(chart, table, n):
-    out = {(): sp.Integer(1)}
-    for _ in range(n):
-        out = table_wedge(chart, out, table)
-    return out
+    form, = _forms(chart, table)
+    return dict(form.wedge_power(n).terms())
 
 
 def table_top(chart, table, k):
@@ -302,18 +298,10 @@ def table_top(chart, table, k):
 
 def table_contract(chart, table, v):
     """Interior product with a constant ambient vector v (array)."""
-    table = _canon_table(chart, table)
-    comps = [sp.Integer(int(c)) if float(c).is_integer() else sp.Float(c)
-             for c in v]
-    out = {}
-    for key, e in table.items():
-        for pos, idx in enumerate(key):
-            if comps[idx] == 0:
-                continue
-            rest = key[:pos] + key[pos + 1:]
-            sign = -1 if pos % 2 else 1
-            out[rest] = out.get(rest, 0) + sign * comps[idx] * e
-    return {k: v_ for k, v_ in out.items() if sp.expand(v_) != 0}
+    form, = _forms(chart, table)
+    return dict(form.contract({
+        "d" + name: sp.Integer(int(c)) if float(c).is_integer()
+        else sp.Float(c) for name, c in zip(chart.names, v) if c}).terms())
 
 
 # numpy's power on arrays may round differently from its power on scalars
@@ -340,15 +328,11 @@ class _Printer(NumPyPrinter):
         return f"_pow({self._print(expr.base)}, {self._print(expr.exp)})"
 
 
-@functools.cache
-def _namespace():
-    """The globals ``sp.lambdify(..., [{"_pow": _pow}, "numpy"])`` gives its
-    generated code, built once per process."""
-    ns = {}
-    exec("import numpy; from numpy import *; from numpy.linalg import *", ns)
-    ns.update(I=1j, Heaviside=np.heaviside, _pow=_pow, builtins=builtins,
-              range=range)
-    return ns
+# the globals the generated code reads: the printer spells every function
+# numpy.<name>, so of the names ``sp.lambdify(..., [{"_pow": _pow},
+# "numpy"])`` binds (numpy's star import among them) it needs only these
+_NAMESPACE = {"numpy": np, "_pow": _pow, "I": 1j, "Heaviside": np.heaviside,
+              "builtins": builtins, "range": range}
 
 
 def _source(syms, e):
@@ -388,8 +372,8 @@ def compile_table(chart, table, degree=None, params=()):
     symbols ``params``.
 
     Each entry becomes the function lambdify would generate (``_source``);
-    a table's entries are compiled in one ``compile()`` and run in one
-    namespace built once per process.  Returns ``bind``: parameter values
+    a table's entries are compiled in one ``compile()`` and run in the one
+    module namespace ``_NAMESPACE``.  Returns ``bind``: parameter values
     -> FormFieldNum.  Binding compiles nothing, so one compile serves every
     value of a family's parameter.
     """
@@ -398,8 +382,8 @@ def compile_table(chart, table, degree=None, params=()):
     syms = (*chart.symbols(), *params)
     code = compile("".join(_source(syms, e) for e in table.values()),
                    "<compile_table>", "exec")
-    ns = _namespace()
-    fns = dict(zip(table, (types.FunctionType(c, ns) for c in code.co_consts
+    fns = dict(zip(table, (types.FunctionType(c, _NAMESPACE)
+                           for c in code.co_consts
                            if isinstance(c, types.CodeType))))
 
     def bind(*values):

@@ -59,7 +59,8 @@ from .confolcheck import (ConfoliationData, HyperplaneField,
                           StableHamiltonianPair, Verdict, confoliation_check,
                           order_at, shs_check)
 from .approx import (ConformalLimitReport, DeformationFamily, PartitionedForm,
-                     StratumData, StratumLimit, approx_verdict, base_table)
+                     StratumData, StratumLimit, approx_verdict, base_table,
+                     family_rows)
 from .grassmann import FormAlgebra
 
 
@@ -937,6 +938,11 @@ def _run_approx(doc, entry, flags):
     fam = DeformationFamily.from_table(
         doc.chart, tab_a, tab_b, param=par,
         tau_rank=flags.tol_rank, tau_pos=flags.tol_pos)
+    # approx_verdict's points start with these: its FAIL needs no search
+    samples = _chart_samples(doc.chart, flags)
+    early = family_rows(fam, samples)[1]
+    if early is not None:
+        return early.verdict, early
     strata, missing, reached = {}, [], {}
     for _, order, table in doc.extends:
         pts, reached[order] = _locate_stratum(doc.chart, fam.base.h, order,
@@ -955,8 +961,8 @@ def _run_approx(doc, entry, flags):
                        message=f"could not locate points on strata "
                                f"{missing}"), None
     pf = PartitionedForm(strata)
-    rep = approx_verdict(fam, pf, samples=_chart_samples(doc.chart, flags),
-                         seed=flags.seed, tau=flags.tol_pos)
+    rep = approx_verdict(fam, pf, samples=samples, seed=flags.seed,
+                         tau=flags.tol_pos)
     return rep.verdict, rep
 
 

@@ -1,8 +1,10 @@
 """Pointwise field plumbing: evaluation, FD derivative, pullbacks, grids."""
 
+import dis
 import inspect
 import itertools
 from pathlib import Path
+from types import CodeType
 
 import numpy as np
 import pytest
@@ -342,29 +344,59 @@ def test_every_sample_prefix_covers_the_box(dim, density, seed, periodic):
         assert np.all(span >= (density - 1.6) / density * width - 1e-12)
 
 
-def test_compiled_source_is_lambdify_source(monkeypatch):
-    # every table compiled while the gallery and the demos run: each entry's
-    # source is the text lambdify generates for it, so the compiled code is
-    # the same by construction
-    seen = []
+@pytest.fixture(scope="module")
+def compiled():
+    """Every table compiled while the gallery and the demos run: each
+    entry's (symbols, expression, source), and the code objects."""
+    entries, codes = [], []
     source = chartfield._source
 
     def record(syms, e):
         text = source(syms, e)
-        seen.append((syms, e, text))
+        entries.append((syms, e, text))
         return text
 
-    monkeypatch.setattr(chartfield, "_source", record)
-    for name in gallery.names():
-        gallery.build(name).run_verdicts()
-    demos = Path(__file__).resolve().parents[1] / "demos"
-    for doc in ("cubic_family", "flat_family", "solid_torus"):
-        cli.run(cli.parse((demos / f"{doc}.cfl").read_text()))
-    assert len(seen) > 100
-    for syms, e, text in seen:
+    def record_code(*args):
+        codes.append(compile(*args))
+        return codes[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(chartfield, "_source", record)
+        mp.setattr(chartfield, "compile", record_code, raising=False)
+        for name in gallery.names():
+            gallery.build(name).run_verdicts()
+        demos = Path(__file__).resolve().parents[1] / "demos"
+        for doc in ("cubic_family", "flat_family", "solid_torus"):
+            cli.run(cli.parse((demos / f"{doc}.cfl").read_text()))
+    return entries, codes
+
+
+def test_compiled_source_is_lambdify_source(compiled):
+    # each entry's source is the text lambdify generates for it, so the
+    # compiled code is the same by construction
+    entries, _ = compiled
+    assert len(entries) > 100
+    for syms, e, text in entries:
         fn = sp.lambdify(syms, e, [{"_pow": chartfield._pow}, "numpy"],
                          printer=chartfield._Printer)
         assert text == inspect.getsource(fn)
+
+
+def test_compiled_globals_are_lambdify_globals(compiled):
+    # every global the compiled code loads is bound, in the compile
+    # namespace, to the object lambdify's namespace binds it to
+    _, codes = compiled
+    lam = sp.lambdify((), 0, [{"_pow": chartfield._pow}, "numpy"],
+                      printer=chartfield._Printer).__globals__
+    names, stack = set(), list(codes)
+    while stack:
+        code = stack.pop()
+        stack.extend(c for c in code.co_consts if isinstance(c, CodeType))
+        names |= {i.argval for i in dis.get_instructions(code)
+                  if i.opname == "LOAD_GLOBAL"}
+    assert {"numpy", "_pow"} <= names
+    for name in names:
+        assert name in lam and chartfield._NAMESPACE.get(name) is lam[name]
 
 
 def test_keyword_coordinate_compiles_and_stray_symbols_are_named():
@@ -377,3 +409,93 @@ def test_keyword_coordinate_compiles_and_stray_symbols_are_named():
     with pytest.raises(ValueError, match="free symbols outside the "
                        "coordinates and parameters: a, b"):
         compile_table(chart, {(0,): x * sp.Symbol("b") + sp.Symbol("a")}, 1)
+
+
+# the table helpers against the sympy bodies they replaced: sp.diff and the
+# wedge and contraction sums written out, then sp.expand
+_CX, _CY, _CZ, _CS = sp.symbols("x y z s")
+_XYZ = Chart(("x", "y", "z"), ((-1, 1),) * 3)
+_PIECE = sp.Piecewise((_CX * _CY, _CZ > 0), (_CY ** 2, True))
+
+
+@st.composite
+def _coefficient(draw):
+    # polynomial in x, y, z and s, with rational powers of the coordinates;
+    # a Piecewise or a Float factor makes the ring take its opaque path
+    e = 0
+    for _ in range(draw(st.integers(1, 3))):
+        term = sp.Rational(draw(st.integers(-3, 3)), draw(st.integers(1, 3)))
+        for v in (_CX, _CY, _CZ, _CS):
+            term *= v ** draw(st.sampled_from(
+                [0, 0, 1, 2, sp.Rational(1, 2), sp.Rational(-1, 3)]))
+        e += term
+    opaque = draw(st.sampled_from([None, None, "piecewise", "float"]))
+    if opaque == "piecewise":
+        e += draw(st.sampled_from([1, _CS, _CZ ** 2])) * _PIECE
+    elif opaque == "float":
+        e *= sp.Float(draw(st.sampled_from([0.5, 1.25, -2.75, 0.1])))
+    return e
+
+
+@st.composite
+def _table(draw, degree):
+    keys = draw(st.lists(st.sampled_from(
+        list(itertools.combinations(range(3), degree))),
+        min_size=1, max_size=3, unique=True))
+    return {k: draw(_coefficient()) for k in keys}
+
+
+def _nonzero_expanded(out):
+    return {k: sp.expand(v) for k, v in out.items() if sp.expand(v) != 0}
+
+
+def _sympy_d(table):
+    out = {}
+    for key, e in table.items():
+        for i, x in enumerate(_XYZ.symbols()):
+            new, s = chartfield._sort_sign((i,) + key)
+            if s:
+                out[new] = out.get(new, 0) + s * sp.diff(e, x)
+    return _nonzero_expanded(out)
+
+
+def _sympy_wedge(t1, t2):
+    out = {}
+    for k1, e1 in t1.items():
+        for k2, e2 in t2.items():
+            key, s = chartfield._sort_sign(k1 + k2)
+            if s:
+                out[key] = out.get(key, 0) + s * e1 * e2
+    return _nonzero_expanded(out)
+
+
+def _sympy_contract(table, v):
+    comps = [sp.Integer(int(c)) if float(c).is_integer() else sp.Float(c)
+             for c in v]
+    out = {}
+    for key, e in table.items():
+        for pos, idx in enumerate(key):
+            if comps[idx] != 0:
+                rest = key[:pos] + key[pos + 1:]
+                out[rest] = out.get(rest, 0) + (-1) ** pos * comps[idx] * e
+    return _nonzero_expanded(out)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(alpha=_table(1), gamma=_table(1), beta=_table(2),
+       k=st.integers(0, 1), v=st.lists(st.sampled_from(
+           [0.0, 1.0, -2.0, 0.5]), min_size=3, max_size=3))
+def test_table_helpers_match_the_sympy_oracle(alpha, gamma, beta, k, v):
+    # table_d and table_contract entries are structurally sp.expand of the
+    # sympy sums; table_wedge's and table_top's entries expand to the naive
+    # products'
+    assert _nonzero_expanded(chartfield.table_wedge(_XYZ, alpha, gamma)) \
+        == _sympy_wedge(alpha, gamma)
+    for t in (alpha, beta):
+        assert chartfield.table_d(_XYZ, t) == _sympy_d(t)
+        assert chartfield.table_contract(_XYZ, t, v) == _sympy_contract(t, v)
+        assert chartfield.table_d(_XYZ, chartfield.table_d(_XYZ, t)) == {}
+    top = _sympy_wedge(alpha, {(): 1})
+    for _ in range(k + 1):
+        top = _sympy_wedge(top, _sympy_d(alpha))
+    assert _nonzero_expanded(chartfield.table_top(_XYZ, alpha, k)) == top

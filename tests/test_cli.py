@@ -911,6 +911,8 @@ def test_lockstep_search_calls_and_rows(monkeypatch):
 
 
 def test_runtime_imports_no_scipy():
+    # nor numpy.f2py and numpy.testing (with unittest), which numpy's star
+    # import would load: the compiled tables run in a namespace without it
     bench_doc = (Path(__file__).resolve().parents[1] / "bench" / "inputs"
                  / "cubic_family.cfl")
     code = ("import sys\n"
@@ -918,7 +920,8 @@ def test_runtime_imports_no_scipy():
             "assert cli.main(['--selftest']) == 0\n"
             f"assert cli.main([{str(bench_doc)!r}]) == 0\n"
             "print(sorted(m for m in sys.modules\n"
-            "             if m == 'scipy' or m.startswith('scipy.')))\n")
+            "             if m in ('numpy.f2py', 'numpy.testing', 'unittest')\n"
+            "             or m == 'scipy' or m.startswith('scipy.')))\n")
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
@@ -926,6 +929,40 @@ def test_runtime_imports_no_scipy():
                        text=True, env=env, timeout=600)
     assert r.returncode == 0, r.stderr
     assert r.stdout.splitlines()[-1] == "[]"
+
+
+_NONFINITE_FAMILIES = [
+    # not finite where x1 < 0, and the search misses stratum 1: the FAIL
+    # decided on the samples outranks that UNDETERMINED (exit 2)
+    "chart x1 y1 x2 y2 z\nparam s\n"
+    "form a = dz + (x1^(1/2) + s * x1) * dy1 + x2 * dy2\n"
+    "form W = dx1 ^ dy1 + dx2 ^ dy2\n"
+    "extend mu on stratum 1 = dx1 ^ dy1\ncheck approx a W\n",
+    "chart x* y[0, 1] z\nparam s\n"
+    "form a = dz + (x^(3/2) * y + 2.5) * dy + s * (x^(1/2) * y^(-1/3)"
+    " + z^2 * y^(-1/3)) * dy + (z^2 * 1e-3 + (y + 1/2)^(-2)"
+    " + (y + 1/2)^(-2) * z^2) * dx\n"
+    "form W = dx ^ dy\nextend mu on stratum 0 = dx ^ dy\n"
+    "check approx a W\n",
+]
+
+
+@pytest.mark.parametrize("text", _NONFINITE_FAMILIES,
+                         ids=["search-misses-a-stratum", "exact-lane"])
+def test_nonfinite_family_fails_before_the_stratum_search(text, monkeypatch):
+    def no_search(*args, **kwargs):
+        raise AssertionError("the stratum search ran")
+
+    monkeypatch.setattr(cli, "_locate_stratum", no_search)
+    doc = parse(text)
+    rep = run(doc)
+    assert rep.exit_code == 1
+    e = rep.entries[0]
+    assert e["message"] == "alpha is not finite at the witness"
+    # the witness is a generic sample
+    samples = cli._chart_samples(doc.chart, default_flags())
+    witness = e["detail"]["verdict"]["witness"]
+    assert any(list(p) == witness for p in samples)
 
 
 def test_gallery_directive_reproduces_expected_table():
