@@ -13,10 +13,11 @@ the target eta (from ``stratum_eta``, which the gallery's numeric
 cross-check reads alone).  ``conformal_limit`` analyzes one stratum, given a
 table or a callable, and reports it under label 0.
 
-A symbolic family is one index-keyed coefficient table in the chart
-coordinates and the parameter; chartfield's table helpers (re-exported here
-for the benchmark's layer tracer) give its exact d and tops in grassmann's
-FormExpr algebra.  Alpha and its exact d are compiled once and each
+A symbolic family keeps alpha_s as one ``form``, a FormExpr in the chart
+coordinates and the parameter over its own chart algebra; its exact d and
+its tops (chartfield's ``top_table``) come from that form.  Chartfield's
+table helpers are re-exported here only for the benchmark's layer tracer.
+Alpha, as the table given, and its exact d are compiled once and each
 parameter value only binds; base_table rejects a family that is not
 polynomial in its parameter; ``family_rows`` FAILs one that is not finite
 at a point.  The exact route reads the rate off the Laurent
@@ -34,14 +35,14 @@ from dataclasses import dataclass, field
 import numpy as np
 import sympy as sp
 
-from .chartfield import (Chart, FormFieldNum, _canon_table, compile_table,
-                         d_fd, sample_prefix, table_contract, table_d,
-                         table_to_field, table_top, table_wedge,
-                         table_wedge_power)
+from .chartfield import (Chart, FormFieldNum, _canon_table, _forms,
+                         compile_table, d_fd, sample_prefix, table_contract,
+                         table_d, table_to_field, table_wedge,
+                         table_wedge_power, top_table)
 from .conetame import FAIL, PASS, UNDETERMINED
 from .confolcheck import (SKIPPED, ConfoliationData, HyperplaneField, Verdict,
                           _field_norms, _norms, aggregate, order_at)
-from .grassmann import laurent
+from .grassmann import FormExpr, laurent
 
 __all__ = [
     "DeformationFamily", "PartitionedForm", "StratumData", "StratumLimit",
@@ -83,15 +84,15 @@ class DeformationFamily:
     """One-form family alpha_s over a chart, degenerating onto a base.
 
     The base is a ConfoliationData (beta plus ambient two-form omega); the
-    family is an index-keyed coefficient table in the coordinates and the
-    parameter.  ``alpha_of`` and ``dalpha_of`` are that table and its exact
+    family is ``form``, a one-form FormExpr in the coordinates and the
+    parameter.  ``alpha_of`` and ``dalpha_of`` are its table and its exact
     d compiled once: s -> FormFieldNum.
     """
 
     chart: Chart
     base: ConfoliationData
     param: sp.Symbol
-    table: dict
+    form: FormExpr
     alpha_of: object
     dalpha_of: object
 
@@ -103,15 +104,15 @@ class DeformationFamily:
     def from_table(cls, chart, table, omega, param="s", tau_rank=1e-7,
                    tau_pos=1e-9):
         param = sp.Symbol(param) if isinstance(param, str) else param
-        table = _canon_table(chart, table)
         base_h = HyperplaneField.from_symbolic(
             chart, base_table(chart, table, param))
         if isinstance(omega, dict):
             omega = table_to_field(chart, omega, 2)
         base = ConfoliationData(base_h, omega, tau_rank, tau_pos)
-        return cls(chart, base, param, table=table,
+        form, = _forms(chart, table)
+        return cls(chart, base, param, form,
                    alpha_of=compile_table(chart, table, 1, (param,)),
-                   dalpha_of=compile_table(chart, table_d(chart, table), 2,
+                   dalpha_of=compile_table(chart, dict(form.d().terms()), 2,
                                            (param,)))
 
     # -- evaluation --------------------------------------------------------
@@ -578,7 +579,7 @@ def approx_verdict(fam: DeformationFamily, pf: PartitionedForm, samples=None,
                              {"min_norm": low}, None,
                              f"beta ^ dbeta^{k} ^ mu nonzero on stratum")
         zeta = (sd.zeta_table if sd.zeta_table is not None
-                else table_top(chart, fam.table, k))
+                else top_table(fam.form, k))
         rep.strata[lab] = _limit_symbolic(lab, k, zeta, stratum_eta(fam, sd),
                                           sd.samples, chart, fam.param)
     sub["item_a"] = Verdict(aggregate(a_sub), sub=a_sub,

@@ -3,17 +3,17 @@
 A coefficient table maps strictly sorted coordinate-index tuples to sympy
 expressions in the chart coordinates (and a family's parameter).
 ``_canon_table`` is the one place that reads other key spellings (name
-tuples, a bare name for a one-form).  The exact algebra on tables is
-grassmann's: ``table_d``, ``table_wedge``, ``table_wedge_power``,
-``table_top`` and ``table_contract`` are ``FormExpr`` operations over an
-algebra made for each call, whose generator i is d(names[i]), and return the
-coefficients as ``sp.expand`` gives them; the names stay for the benchmark's
-layer tracer.  ``compile_table`` compiles a table once (the source lambdify
-would generate, without lambdify), with any parameters as trailing
-arguments, into numeric fields whose coefficients are callables on the
-coordinate array.
+tuples, a bare name for a one-form).  The exact algebra is grassmann's: a
+symbolic field keeps its one-form as a ``FormExpr`` over a chart algebra
+made by ``_forms`` (generator i is d(names[i])) and reads its exact d and
+tops (``top_table``) off it; ``terms()`` gives coefficients as sp.expand
+does.  ``table_d``, ``table_wedge``, ``table_wedge_power`` and
+``table_contract`` do the same on tables and have no runtime caller: they
+stay for the benchmark's layer tracer.  ``compile_table`` compiles a table
+once (the source lambdify would generate, without lambdify), with any
+parameters as trailing arguments, into numeric fields of callables.
 The rest is pointwise plumbing for the verifiers: central-difference d (the
-lane that cross-checks the exact ``table_d``), finite-difference pullbacks,
+lane that cross-checks the exact d), finite-difference pullbacks,
 short-time RK4 flows and seeded sample grids.
 A sample set is an ``(N, dim)`` float array, one point per row;
 ``sample_prefix`` orders a grid so that every prefix covers the box.
@@ -265,7 +265,7 @@ def _canon_table(chart, table):
 
 
 def _forms(chart, *tables):
-    """Tables as FormExprs over one algebra made for this call, whose
+    """Tables as FormExprs over one chart algebra made for this call, whose
     generator i is d(names[i]), so index keys carry over."""
     alg = FormAlgebra()
     for name in chart.names:
@@ -289,11 +289,10 @@ def table_wedge_power(chart, table, n):
     return dict(form.wedge_power(n).terms())
 
 
-def table_top(chart, table, k):
-    """alpha ^ dalpha^(k+1) for a one-form table: zero exactly where the
-    order of ker(alpha) is at most k."""
-    return table_wedge(chart, table,
-                       table_wedge_power(chart, table_d(chart, table), k + 1))
+def top_table(form, k):
+    """The table of alpha ^ dalpha^(k+1) for a one-form FormExpr: zero
+    exactly where the order of ker(alpha) is at most k."""
+    return dict(form.wedge(form.d().wedge_power(k + 1)).terms())
 
 
 def table_contract(chart, table, v):

@@ -53,7 +53,7 @@ from sympy.core.function import AppliedUndef
 from . import __version__
 from . import gallery as _gallery
 from .chartfield import (Chart, _canon_table, sample_prefix, table_to_field,
-                         table_top)
+                         top_table)
 from .conetame import FAIL, PASS, UNDETERMINED
 from .confolcheck import (ConfoliationData, HyperplaneField,
                           StableHamiltonianPair, Verdict, confoliation_check,
@@ -339,7 +339,8 @@ class _Parser:
                                tuple(s.name for s in specs if s.periodic))
         except ValueError as e:
             self.fail(str(e), kw)
-        self.alg = FormAlgebra(top_degree=self.chart.dim)
+        # generators and forms declared before the chart keep their algebra
+        self._algebra().top_degree = self.chart.dim
         for cs in specs:
             try:
                 sym, _ = self.alg.coordinate(cs.name)
@@ -898,8 +899,7 @@ def _locate_stratum(chart, base_h, order, flags, limit=6):
     time, so no start runs that a one-by-one search would skip.  Returns
     (the points as the rows of an array, the smallest value of that square
     reached)."""
-    top = table_top(chart, base_h.symbolic_table, order)
-    fld = table_to_field(chart, top)
+    fld = table_to_field(chart, top_table(base_h.form, order))
     lo = np.array([b[0] for b in chart.box])
     hi = np.array([b[1] for b in chart.box])
     pad = 0.02 * (hi - lo)
@@ -980,6 +980,7 @@ def _run_shs(doc, entry, flags):
     om = table_to_field(doc.chart, tab_b, 2)
     pair = StableHamiltonianPair(lam, om, doc.chart)
     return shs_check(pair, _chart_samples(doc.chart, flags),
+                     tau=flags.tol_pos, tau_rank=flags.tol_rank,
                      h=flags.fd_step), None
 
 

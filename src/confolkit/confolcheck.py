@@ -29,12 +29,11 @@ import sympy as sp
 from confolkit.chartfield import (
     Chart,
     FormFieldNum,
-    _canon_table,
+    _forms,
     d_fd,
     fd_jacobian,
     flow_rk4,
     pullback,
-    table_d,
 )
 from confolkit.conetame import (
     DEFAULT_TAU_RANK,
@@ -155,25 +154,26 @@ def _xi_frames(A):
 
 
 class HyperplaneField:
-    """ker(alpha) on a chart, with its dalpha (exact when built from a
-    coefficient table)."""
+    """ker(alpha) on a chart, with its dalpha.  A field built from a
+    coefficient table keeps alpha exactly as ``form``, a FormExpr over its
+    own chart algebra, and its dalpha is that form's exact d."""
 
     def __init__(self, chart, alpha: FormFieldNum, dalpha: FormFieldNum,
-                 symbolic_table: dict = None):
+                 form=None):
         self.chart = chart
         self.alpha = alpha
-        self.symbolic_table = symbolic_table
+        self.form = form
         self.dalpha = dalpha
         self._powers = None
 
     @classmethod
     def from_symbolic(cls, chart, table):
         """``table`` maps coordinate names (or index keys) to sympy
-        coefficient expressions; dalpha comes from the exact ``table_d``."""
-        tab = _canon_table(chart, table)
-        return cls(chart, FormFieldNum.from_symbolic(chart, 1, tab),
-                   FormFieldNum.from_symbolic(chart, 2, table_d(chart, tab)),
-                   symbolic_table=tab)
+        coefficient expressions."""
+        form, = _forms(chart, table)
+        dalpha = dict(form.d().terms())
+        return cls(chart, FormFieldNum.from_symbolic(chart, 1, table),
+                   FormFieldNum.from_symbolic(chart, 2, dalpha), form)
 
     # -- pointwise frames --------------------------------------------------
     def alpha_at(self, p):
@@ -392,15 +392,15 @@ class StableHamiltonianPair:
 
 @np.errstate(over="ignore")
 def shs_check(s: StableHamiltonianPair, samples, tau=1e-9,
-              h=1e-4) -> Verdict:
+              h=1e-4, tau_rank=DEFAULT_TAU_RANK) -> Verdict:
     """lambda ^ omega^n > 0, d omega = 0, ker omega inside ker d lambda.
 
     The forms are evaluated once on all samples and the kernels of omega
     are one stacked SVD; the verdicts stay per sample, in order.  The
     finite-difference residuals are allowed the bands ||iota_R d lambda||
     <= max(tau, 100 h^2) and ||d omega|| <= 1000 h; ``h`` scales those
-    bands only (d_fd takes the chart's step).  A value that overflows to
-    inf fails its band without a numpy warning.
+    bands only (d_fd takes the chart's step); ``tau`` is the positivity
+    floor, ``tau_rank`` omega's rank cut.  An inf fails its band quietly.
     """
     n = s.chart.dim // 2
     top = s.lam.wedge(s.omega.wedge_power(n))
@@ -424,7 +424,7 @@ def shs_check(s: StableHamiltonianPair, samples, tau=1e-9,
             return Verdict(FAIL, witness=p,
                            message=f"lambda^omega^{n} = {vol[i]:.3e} "
                                    "not positive")
-        rank = skew_rank(sig[i], 1e-7)
+        rank = skew_rank(sig[i], tau_rank)
         if rank != s.chart.dim - 1:     # the kernel is not a line
             return Verdict(FAIL, witness=p,
                            message="ker omega is not one-dimensional")
@@ -785,10 +785,9 @@ def open_book_confoliation(n, profiles: OpenBookProfiles = None,
         }
     else:
         raise ValueError("open-book collar models are built for n = 1 or 2")
-    tab = _canon_table(chart, alpha_tab)
-    h_field = HyperplaneField(chart, FormFieldNum.from_symbolic(chart, 1, tab),
-                              FormFieldNum(chart, 2, dalpha),
-                              symbolic_table=tab)
+    h_field = HyperplaneField(chart,
+                              FormFieldNum.from_symbolic(chart, 1, alpha_tab),
+                              FormFieldNum(chart, 2, dalpha))
     Omega = FormFieldNum.from_symbolic(chart, 2, omega_tab)
     return OpenBookPair(chart, h_field, Omega, pr, audit, n, chart.index("r"))
 

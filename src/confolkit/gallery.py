@@ -6,12 +6,12 @@ fixed seed; ``GalleryEntry.verify`` runs every check and reports any row
 that disagrees with the expected table.  Rows that read one analysis (the
 approximation bundle of a family entry, the pointwise items of
 product-blob) share it: it is computed on the first run of a built entry and
-reused after, so recomputing means building the entry again.  The five
+reused after, so recomputing means building the entry again.  The six
 deformation-family entries (r5-cubic, r5-flat-negative,
-bertelson-meigniez-r5, mnw-torus, openbook-deformation) come from one
-builder, ``_family_entry``, which supplies their ``approx`` and
-``exponents`` rows and turns a lookup that finds nothing in the report into
-a FAIL row.
+bertelson-meigniez-r5, branched-cover-r3, mnw-torus, openbook-deformation)
+come from one builder, ``_family_entry``, which supplies their ``approx``
+and ``exponents`` rows and turns a lookup that finds nothing in the report
+into a FAIL row.
 """
 
 import functools
@@ -634,18 +634,15 @@ def _build_branched_cover(k=2, eps=1.0, seed=0):
                              "difference from the pullback is s*eps times "
                              "twice the pullback form wedge r dr dtheta")
 
-    return GalleryEntry(
-        name="branched-cover-r3", params={"k": k, "eps": eps, "seed": seed},
-        structures={"family": fam, "partition": pf},
-        expected={"approx": PASS, "contact-family": PASS,
-                  "conformal-limit": PASS},
-        checks={"approx": lambda: approx_verdict(fam, pf, samples=bulk,
-                                                 seed=seed).verdict,
-                "contact-family": contact_family_check,
-                "conformal-limit": conformal_limit_check},
+    return _family_entry(
+        "branched-cover-r3", {"k": k, "eps": eps, "seed": seed}, fam, pf,
+        {"approx": PASS, "contact-family": PASS, "conformal-limit": PASS},
+        {}, {"contact-family": contact_family_check,
+             "conformal-limit": conformal_limit_check},
         notes=(f"local model dz + r^2 dphi pulled back under phi = "
                f"{k}*theta, then pushed by s*eps*r^2 dtheta; the base is "
-               "already contact away from the branch axis",))
+               "already contact away from the branch axis",),
+        samples=bulk, seed=seed)
 
 
 # ---------------------------------------------------------------------------

@@ -128,7 +128,7 @@ def test_laurent_keeps_parameter_free_denominators():
 
 def test_family_base_from_table():
     fam = cubic_family()
-    tab = fam.base.h.symbolic_table
+    tab = dict(fam.base.h.form.terms())
     assert sp.expand(tab[(R5.index("y1"),)] - x1**3) == 0
     assert fam.base_consistency(GENERIC).status == PASS
     assert fam.n == 2
@@ -154,7 +154,7 @@ def test_compiled_family_matches_substituted_table(name):
     chart = fam.chart
     points = np.concatenate([sd.samples for sd in pf.strata.values()])
     for sv in (0.0, 2.0 ** -12, 0.25):
-        tab = {k: e.subs(fam.param, sv) for k, e in fam.table.items()}
+        tab = {k: e.subs(fam.param, sv) for k, e in fam.form.terms()}
         pairs = ((fam.alpha_of(sv), table_to_field(chart, tab, 1)),
                  (fam.hyperplane_at(sv).dalpha,
                   table_to_field(chart, table_d(chart, tab), 2)))

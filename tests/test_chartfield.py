@@ -487,7 +487,7 @@ def _sympy_contract(table, v):
            [0.0, 1.0, -2.0, 0.5]), min_size=3, max_size=3))
 def test_table_helpers_match_the_sympy_oracle(alpha, gamma, beta, k, v):
     # table_d and table_contract entries are structurally sp.expand of the
-    # sympy sums; table_wedge's and table_top's entries expand to the naive
+    # sympy sums; table_wedge's and top_table's entries expand to the naive
     # products'
     assert _nonzero_expanded(chartfield.table_wedge(_XYZ, alpha, gamma)) \
         == _sympy_wedge(alpha, gamma)
@@ -498,4 +498,5 @@ def test_table_helpers_match_the_sympy_oracle(alpha, gamma, beta, k, v):
     top = _sympy_wedge(alpha, {(): 1})
     for _ in range(k + 1):
         top = _sympy_wedge(top, _sympy_d(alpha))
-    assert _nonzero_expanded(chartfield.table_top(_XYZ, alpha, k)) == top
+    form, = chartfield._forms(_XYZ, alpha)
+    assert _nonzero_expanded(chartfield.top_table(form, k)) == top

@@ -19,7 +19,7 @@ from hypothesis import given, note, settings, strategies as st
 
 from confolkit import cli, gallery
 from confolkit.approx import DeformationFamily
-from confolkit.chartfield import sample_prefix, table_to_field, table_top
+from confolkit.chartfield import sample_prefix, table_to_field, top_table
 from confolkit.confolcheck import HyperplaneField, order_at
 from confolkit.cli import CflError, default_flags, main, parse, print_document, run
 from confolkit.conetame import FAIL, PASS, UNDETERMINED
@@ -822,8 +822,7 @@ def test_nelder_mead_matches_scipy_bitwise(name, monkeypatch):
 def _reference_locate(chart, base_h, order, flags, limit=6):
     """The stratum search one start at a time, each a scipy run on the
     single-point objective; also returns the starts it ran."""
-    fld = table_to_field(chart, table_top(chart, base_h.symbolic_table,
-                                          order))
+    fld = table_to_field(chart, top_table(base_h.form, order))
     lo = np.array([b[0] for b in chart.box])
     hi = np.array([b[1] for b in chart.box])
     pad = 0.02 * (hi - lo)
@@ -1103,6 +1102,43 @@ def test_main_check_needs_odd_chart_of_dimension_3(tmp_path, capsys, doc,
     assert capsys.readouterr().err == (
         f"confolkit: {f}:{line}:1: check {kind} needs an odd-dimensional "
         f"chart of dimension >= 3, not {dim}\n")
+
+
+@pytest.mark.parametrize("head, line", [
+    ("gen a deg 1\nform g = a\nchart x y z\nform f = g + dx\n", 6),
+    ("gen a deg 1\nchart x y z\nform f = a + dx\n", 5)],
+    ids=["form-before-chart", "gen-before-chart"])
+def test_chart_after_gen_keeps_the_algebra(tmp_path, capsys, head, line):
+    # the chart's coordinates join the algebra of the earlier declarations,
+    # so a form mixing a generator with dx reaches the check's diagnostic
+    f = tmp_path / "gen.cfl"
+    f.write_text(head + "form W = dx ^ dy\ncheck confoliation f W\n")
+    assert main([str(f)]) == 3
+    assert capsys.readouterr().err == (
+        f"confolkit: {f}:{line}:20: 'a' is a formal generator; checks need "
+        "coordinate differentials only\n")
+
+
+def test_chart_after_gen_checks_coordinate_forms(tmp_path):
+    f = tmp_path / "gen.cfl"
+    f.write_text("gen a deg 1\nchart x y z\nform f = dz + x * dy\n"
+                 "form W = dx ^ dy\ncheck confoliation f W\n")
+    assert main([str(f)]) == 0
+
+
+@pytest.mark.parametrize("flag, value", [("--tol-pos", "1e6"),
+                                         ("--tol-rank", "0.9")])
+def test_shs_check_reads_the_tolerance_flags(tmp_path, capsys, flag, value):
+    # lambda ^ omega = 4r <= 4 is below a floor of 1e6, and a rank cut of
+    # 0.9 leaves omega rank 0 where 4r < 0.9
+    f = tmp_path / "shs.cfl"
+    f.write_text("chart z r[0.05, 1] theta[0, 6.283185307]*\n"
+                 "form W = 4 * r * dr ^ dtheta\nform lam = dz\n"
+                 "check shs lam W\n")
+    assert main([str(f)]) == 0
+    capsys.readouterr()
+    assert main([str(f), flag, value, "--format", "json"]) == 1
+    assert json.loads(capsys.readouterr().out)["checks"][0]["status"] == FAIL
 
 
 @pytest.mark.parametrize("params, col, message", [

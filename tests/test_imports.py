@@ -141,3 +141,18 @@ def test_unreached_function_is_reported():
                        "    def masked(self): pass\n"),
              ast.parse("C.called()\nmasked = 0\n")]
     assert _unreached(trees, "call `C().doc()`") == ["loops", "masked"]
+
+
+def test_every_trace_target_resolves(monkeypatch):
+    # the benchmark's layer tracer patches each (module, path) by name, and
+    # only the benchmark would notice one that src no longer binds
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    layers = importlib.import_module("layers")
+    missing = []
+    for metric, module, path in layers.TARGETS:
+        obj = importlib.import_module(module)
+        for part in path.split("."):
+            obj = getattr(obj, part, None)
+        if not callable(obj):
+            missing.append(metric)
+    assert missing == []
